@@ -8,7 +8,7 @@ the 0 <-> +1, 1 <-> -1 convention of :mod:`nonshare.qkernel`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -109,6 +109,22 @@ def signed_outcomes(labels: np.ndarray) -> np.ndarray:
     return 1 - 2 * np.asarray(labels)
 
 
+def _collapse(p: Behavior, kept: tuple[int, ...]) -> tuple[np.ndarray, float]:
+    """Kept-party tables with the other parties' outputs summed out.
+
+    Returns the tables stacked along a leading axis over every choice of the
+    other parties' inputs, and their largest deviation from the first choice.
+    """
+    dropped = [q for q in range(1, p.n_parties + 1) if q not in kept]
+    drop_out_axes = tuple(p.n_parties + q - 1 for q in dropped)
+    collapsed = p.table.sum(axis=drop_out_axes)
+    drop_in_axes = tuple(q - 1 for q in dropped)
+    moved = np.moveaxis(collapsed, drop_in_axes, range(len(dropped)))
+    choices = moved.reshape(-1, *moved.shape[len(dropped):])
+    spread = float(np.max(np.abs(choices - choices[0]))) if choices.shape[0] > 1 else 0.0
+    return choices, spread
+
+
 def marginal(p: Behavior, parties: tuple[int, ...]) -> Behavior:
     """Marginal behavior on a subset of parties (1-based, ascending).
 
@@ -118,13 +134,7 @@ def marginal(p: Behavior, parties: tuple[int, ...]) -> Behavior:
     kept = tuple(sorted(parties))
     if not kept or any(q < 1 or q > p.n_parties for q in kept) or len(set(kept)) != len(kept):
         raise ValueError("parties must be a nonempty subset of 1..n without repeats")
-    dropped = [q for q in range(1, p.n_parties + 1) if q not in kept]
-    drop_out_axes = tuple(p.n_parties + q - 1 for q in dropped)
-    collapsed = p.table.sum(axis=drop_out_axes)
-    drop_in_axes = tuple(q - 1 for q in dropped)
-    moved = np.moveaxis(collapsed, drop_in_axes, range(len(dropped)))
-    choices = moved.reshape(-1, *moved.shape[len(dropped):])
-    spread = np.max(np.abs(choices - choices[0])) if choices.shape[0] > 1 else 0.0
+    choices, spread = _collapse(p, kept)
     if spread > NO_SIGNALLING_TOL:
         raise ValueError(
             f"signalling input detected: marginal varies by {spread:.3e} over dropped inputs"
@@ -148,14 +158,7 @@ def check_no_signalling(p: Behavior, tol: float = NO_SIGNALLING_TOL) -> NoSignal
     worst = 0.0
     for size in range(1, p.n_parties):
         for kept in combinations(range(1, p.n_parties + 1), size):
-            dropped = [q for q in range(1, p.n_parties + 1) if q not in kept]
-            drop_out_axes = tuple(p.n_parties + q - 1 for q in dropped)
-            collapsed = p.table.sum(axis=drop_out_axes)
-            drop_in_axes = tuple(q - 1 for q in dropped)
-            moved = np.moveaxis(collapsed, drop_in_axes, range(len(dropped)))
-            choices = moved.reshape(-1, *moved.shape[len(dropped):])
-            if choices.shape[0] > 1:
-                worst = max(worst, float(np.max(np.abs(choices - choices[0]))))
+            worst = max(worst, _collapse(p, kept)[1])
     return NoSignallingReport(max_residual=worst, passed=worst <= tol)
 
 
@@ -256,22 +259,25 @@ def copied_seed_extension(model: LhvModel, p3: np.ndarray) -> Behavior:
     return lhv_behavior(extended)
 
 
-def deterministic_behaviors(n_parties: int) -> list[np.ndarray]:
-    """Tables of all deterministic behaviors on binary alphabets.
+def deterministic_behaviors(
+    inputs_per_party: tuple[int, ...], outputs_per_party: tuple[int, ...]
+) -> np.ndarray:
+    """Tables of all deterministic behaviors on the given alphabets.
 
-    Each player picks one of the 4 functions t -> x, indexed f = 2 x(0) + x(1);
-    vertex v enumerates player-major, so for 3 parties v = 16 f1 + 4 f2 + f3.
+    Each player picks a response function t -> x, listed lexicographically in
+    (x(0), x(1), ...); vertices run player-major along the leading axis. On
+    binary alphabets f = 2 x(0) + x(1), so for 3 parties v = 16 f1 + 4 f2 + f3.
     This indexing is load-bearing for the LP module.
     """
-    tables = []
-    functions = [(f >> 1 & 1, f & 1) for f in range(4)]  # f -> (x(t=0), x(t=1))
-    for vertex in np.ndindex(*(4,) * n_parties):
-        table = np.zeros((2,) * n_parties + (2,) * n_parties)
-        for settings in np.ndindex(*(2,) * n_parties):
-            outputs = tuple(functions[vertex[p]][settings[p]] for p in range(n_parties))
-            table[settings + outputs] = 1.0
-        tables.append(table)
-    return tables
+    n = len(inputs_per_party)
+    table = np.ones(())
+    for n_in, n_out in zip(inputs_per_party, outputs_per_party):
+        functions = np.array(list(product(range(n_out), repeat=n_in)))  # (f, t) -> x
+        table = np.multiply.outer(table, np.eye(n_out)[functions])
+    # axes come as (f1, t1, x1, f2, t2, x2, ...)
+    order = [3 * p + k for k in range(3) for p in range(n)]
+    shape = (-1,) + tuple(inputs_per_party) + tuple(outputs_per_party)
+    return table.transpose(order).reshape(shape)
 
 
 def pr_box(a: int = 0, b: int = 0, c: int = 0) -> Behavior:
@@ -309,6 +315,11 @@ def lhv_model_to_json(model: LhvModel) -> dict:
 
 
 def lhv_model_from_json(data: dict) -> LhvModel:
+    if not isinstance(data, dict):
+        raise ValueError("hidden-variable model must be a JSON object")
+    for key in ("weights", "responses"):
+        if not isinstance(data.get(key), list):
+            raise ValueError(f"hidden-variable model needs a {key!r} array")
     weights = np.asarray(data["weights"], dtype=float)
     responses = tuple(np.asarray(r, dtype=float) for r in data["responses"])
     return LhvModel(weights=weights, responses=responses)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import sqrt
 
 import numpy as np
 
@@ -165,12 +164,7 @@ def cmd_npa_scan(args: argparse.Namespace) -> int:
     )
     _write_output(npa.scan_to_csv(rows), args.out)
     if any(a == 0.0 for a in alphas):
-        devs = []
-        for row in rows:
-            if row.alpha != 0.0 or not row.certified:
-                continue
-            analytic = sqrt(max(0.0, (npa.SQRT2 * 2 - row.s) * (npa.SQRT2 * 2 + row.s)))
-            devs.append(abs(row.primal - analytic))
+        devs = npa.alpha0_deviations(rows)
         max_dev = max(devs) if devs else float("nan")
         n_cert = sum(1 for r in rows if r.alpha == 0.0 and r.certified)
         n_all = sum(1 for r in rows if r.alpha == 0.0)

@@ -153,11 +153,6 @@ def _require_desk_scale(p: Behavior) -> None:
         raise ValueError("alphabets capped at 2 inputs and 2 outputs per party")
 
 
-def _party_functions(n_inputs: int, n_outputs: int) -> list[tuple[int, ...]]:
-    """All deterministic response functions input -> output, lexicographic."""
-    return list(product(range(n_outputs), repeat=n_inputs))
-
-
 @dataclass(frozen=True)
 class ExtensionProblem:
     """Collusive-extension instance: authorized pair behavior plus class.
@@ -180,12 +175,10 @@ class ExtensionProblem:
                 f"authorized behavior signals (residual {report.max_residual:.3e})"
             )
         if self.extension_class == CLASSICAL:
-            verts = _pair_vertices(self.authorized)
-            a_eq = np.vstack([
-                np.stack([v.reshape(-1) for v in verts], axis=1),
-                np.ones((1, len(verts))),
-            ])
-            b_eq = np.concatenate([self.authorized.table.reshape(-1), [1.0]])
+            verts = deterministic_behaviors(
+                self.authorized.inputs_per_party, self.authorized.outputs_per_party
+            )
+            a_eq, b_eq = _mixture_rows(verts, self.authorized)
             lp = LinearProgram(c=np.zeros(len(verts)), a_eq=a_eq, b_eq=b_eq)
             lp_solve(lp)  # raises LpInfeasibleError for nonclassical input
 
@@ -198,109 +191,60 @@ class ExtensionProblem:
         return self.authorized.outputs_per_party[1]
 
 
-def _pair_vertices(p: Behavior) -> list[np.ndarray]:
-    """Deterministic 2-party tables on p's alphabets, player-major order."""
-    i1, i2 = p.inputs_per_party
-    o1, o2 = p.outputs_per_party
-    tables = []
-    for f1 in _party_functions(i1, o1):
-        for f2 in _party_functions(i2, o2):
-            table = np.zeros((i1, i2, o1, o2))
-            for t1, t2 in product(range(i1), range(i2)):
-                table[t1, t2, f1[t1], f2[t2]] = 1.0
-            tables.append(table)
-    return tables
-
-
 def _extension_shape(prob: ExtensionProblem) -> tuple[int, ...]:
     i1, i2 = prob.authorized.inputs_per_party
     o1, o2 = prob.authorized.outputs_per_party
     return (i1, i2, i2, o1, o2, o2)
 
 
+def _cell_basis(prob: ExtensionProblem) -> np.ndarray:
+    """Unit vector of every extension cell, indexed (t1, t2, t3, x1, x2, x3, var)."""
+    shape = _extension_shape(prob)
+    n_vars = int(np.prod(shape))
+    return np.eye(n_vars).reshape(shape + (n_vars,))
+
+
+def _extension_vertices(prob: ExtensionProblem) -> np.ndarray:
+    """Deterministic tripartite tables, the colluder on party 2's alphabets."""
+    shape = _extension_shape(prob)
+    return deterministic_behaviors(shape[:3], shape[3:])
+
+
 def _ns_extension_rows(prob: ExtensionProblem) -> tuple[np.ndarray, np.ndarray]:
     """Equality block for the no-signalling extension polytope.
 
-    Rows: per-input-triple normalization; party-wise no-signalling (marginal
-    over one party independent of that party's input); and the (1,2)-marginal
-    pin Sum_x3 P123 = P12 for every colluder input.
+    Rows: per-input-triple normalization; the (1,2)-marginal pin
+    Sum_x3 P123 = P12 for every colluder input, by t3 then (t1, t2, x1, x2);
+    and party-wise no-signalling (marginal over one party independent of that
+    party's input), by party k, t_k >= 1, the other inputs, the other outputs.
     """
-    shape = _extension_shape(prob)
-    i1, i2, i3, o1, o2, o3 = shape
-    p12 = prob.authorized.table
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-
-    for t in product(range(i1), range(i2), range(i3)):
-        a = np.zeros(shape)
-        a[t] = 1.0
-        rows.append(a.reshape(-1))
-        rhs.append(1.0)
-
-    for t3 in range(i3):
-        for t1, t2, x1, x2 in product(range(i1), range(i2), range(o1), range(o2)):
-            a = np.zeros(shape)
-            a[t1, t2, t3, x1, x2, :] = 1.0
-            rows.append(a.reshape(-1))
-            rhs.append(float(p12[t1, t2, x1, x2]))
-
-    # party k no-signalling: summed-out marginal equal across k's inputs
-    input_sizes = (i1, i2, i3)
+    basis = _cell_basis(prob)
+    i1, i2, i3 = basis.shape[:3]
+    n_vars = basis.shape[-1]
+    p12 = prob.authorized.table.reshape(-1)
+    blocks = [basis.sum(axis=(3, 4, 5)), np.moveaxis(basis.sum(axis=5), 2, 0)]
     for k in range(3):
-        others = [q for q in range(3) if q != k]
-        for tk in range(1, input_sizes[k]):
-            other_inputs = product(*(range(input_sizes[q]) for q in others))
-            for t_oth in other_inputs:
-                out_ranges = [range(shape[3 + q]) for q in others]
-                for x_oth in product(*out_ranges):
-                    a = np.zeros(shape)
-                    idx_hi: list = [slice(None)] * 6
-                    idx_lo: list = [slice(None)] * 6
-                    for q, tq in zip(others, t_oth):
-                        idx_hi[q] = tq
-                        idx_lo[q] = tq
-                    for q, xq in zip(others, x_oth):
-                        idx_hi[3 + q] = xq
-                        idx_lo[3 + q] = xq
-                    idx_hi[k] = tk
-                    idx_lo[k] = 0
-                    a[tuple(idx_hi)] = 1.0
-                    a[tuple(idx_lo)] -= 1.0
-                    rows.append(a.reshape(-1))
-                    rhs.append(0.0)
-
-    return np.array(rows), np.array(rhs)
+        summed = np.moveaxis(basis.sum(axis=3 + k), k, 0)  # t_k first, x_k summed out
+        blocks.append(summed[1:] - summed[0])
+    rows = np.concatenate([block.reshape(-1, n_vars) for block in blocks])
+    rhs = np.zeros(len(rows))
+    n_norm = i1 * i2 * i3
+    rhs[:n_norm] = 1.0
+    rhs[n_norm : n_norm + i3 * p12.size] = np.tile(p12, i3)
+    return rows, rhs
 
 
-def _tripartite_vertices(prob: ExtensionProblem) -> list[tuple[tuple[int, ...], ...]]:
-    """Deterministic tripartite strategies (f1, f2, f3), player-major order."""
-    i1, i2 = prob.authorized.inputs_per_party
-    o1, o2 = prob.authorized.outputs_per_party
-    f1s = _party_functions(i1, o1)
-    f2s = _party_functions(i2, o2)
-    return [(f1, f2, f3) for f1 in f1s for f2 in f2s for f3 in f2s]
-
-
-def _vertex_pair_table(f_a: tuple[int, ...], f_b: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
-    ia, ib, oa, ob = shape
-    table = np.zeros(shape)
-    for ta, tb in product(range(ia), range(ib)):
-        table[ta, tb, f_a[ta], f_b[tb]] = 1.0
-    return table
+def _mixture_rows(pair_tables: np.ndarray, authorized: Behavior) -> tuple[np.ndarray, np.ndarray]:
+    """Equality block for weights over vertices whose pair tables mix to P12."""
+    n_verts = len(pair_tables)
+    a_eq = np.vstack([pair_tables.reshape(n_verts, -1).T, np.ones((1, n_verts))])
+    b_eq = np.concatenate([authorized.table.reshape(-1), [1.0]])
+    return a_eq, b_eq
 
 
 def _classical_rows(prob: ExtensionProblem) -> tuple[np.ndarray, np.ndarray]:
     """Equality block for the classical class: mixture weights hit P12."""
-    verts = _tripartite_vertices(prob)
-    i1, i2 = prob.authorized.inputs_per_party
-    o1, o2 = prob.authorized.outputs_per_party
-    cols = [
-        _vertex_pair_table(f1, f2, (i1, i2, o1, o2)).reshape(-1)
-        for f1, f2, _ in verts
-    ]
-    a_eq = np.vstack([np.stack(cols, axis=1), np.ones((1, len(verts)))])
-    b_eq = np.concatenate([prob.authorized.table.reshape(-1), [1.0]])
-    return a_eq, b_eq
+    return _mixture_rows(_extension_vertices(prob)[:, :, :, 0].sum(-1), prob.authorized)
 
 
 def _pair13_coefficients(prob: ExtensionProblem) -> np.ndarray:
@@ -310,19 +254,10 @@ def _pair13_coefficients(prob: ExtensionProblem) -> np.ndarray:
     and trailing axes the extension variables; the marginal averages over the
     dropped party-2 input, matching the behavior-marginal convention.
     """
-    shape = _extension_shape(prob)
-    i1, i2, i3, o1, o2, o3 = shape
     if prob.extension_class == NO_SIGNALLING:
-        coeff = np.zeros((i1, i3, o1, o3) + shape)
-        for t1, t3, x1, x3 in product(range(i1), range(i3), range(o1), range(o3)):
-            for t2 in range(i2):
-                coeff[t1, t3, x1, x3, t1, t2, t3, x1, :, x3] = 1.0 / i2
-        return coeff.reshape((i1, i3, o1, o3, -1))
-    verts = _tripartite_vertices(prob)
-    coeff = np.zeros((i1, i3, o1, o3, len(verts)))
-    for v, (f1, _, f3) in enumerate(verts):
-        coeff[..., v] = _vertex_pair_table(f1, f3, (i1, i3, o1, o3))
-    return coeff
+        i2 = prob.authorized.inputs_per_party[1]
+        return _cell_basis(prob).sum(axis=(1, 4)) * (1.0 / i2)
+    return np.moveaxis(_extension_vertices(prob)[:, :, 0].sum(-2), 0, -1)
 
 
 def _extension_equalities(prob: ExtensionProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -418,7 +353,7 @@ def anti_collusion_power(
 
 def random_ns_behavior(rng: np.random.Generator) -> Behavior:
     """Dirichlet mixture of the 24 binary no-signalling extreme points."""
-    tables = deterministic_behaviors(2)
+    tables = list(deterministic_behaviors((2, 2), (2, 2)))
     tables += [pr_box(a, b, c).table for a, b, c in product(range(2), repeat=3)]
     w = rng.dirichlet(np.ones(len(tables)))
     mix = sum(wi * t for wi, t in zip(w, tables))

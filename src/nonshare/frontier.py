@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import sqrt
 
-TSIRELSON = 2.0 * sqrt(2.0)
-GAMMA_MAX = 1.0 / (2.0 * sqrt(2.0))
+SQRT2 = sqrt(2.0)
+TSIRELSON = 2.0 * SQRT2
+GAMMA_MAX = 1.0 / TSIRELSON
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ def certify(s12: float) -> CertificateRecord:
 def werner_gap(eta: float) -> float:
     """Certified gap [(eta - sqrt(1 - eta^2)) / (2 sqrt(2))]_+ at noise eta."""
     _check_range(eta, 0.0, 1.0, "eta")
-    return max(0.0, (eta - sqrt((1.0 - eta) * (1.0 + eta))) / (2.0 * sqrt(2.0)))
+    return max(0.0, (eta - sqrt((1.0 - eta) * (1.0 + eta))) / TSIRELSON)
 
 
 def werner_scan(eta_grid: list[float]) -> list[WernerRecord]:
@@ -117,7 +118,7 @@ def werner_scan(eta_grid: list[float]) -> list[WernerRecord]:
 def robust_decoupling_bound(eps: float) -> float:
     """Trace-distance decoupling constant (2 sqrt(2) + 2) sqrt(eps)."""
     _check_range(eps, 0.0, 1.0, "eps")
-    return (2.0 * sqrt(2.0) + 2.0) * sqrt(eps)
+    return (TSIRELSON + 2.0) * sqrt(eps)
 
 
 def gentle_bound(alpha: float) -> float:

@@ -24,10 +24,11 @@ from math import sqrt
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
+from .frontier import SQRT2, s13_max
+
 Word = tuple[str, ...]
 
 LETTERS = ("A0", "A1", "B0", "B1", "C0", "C1")
-SQRT2 = sqrt(2.0)
 
 EPS_GAP = 1e-6
 EPS_AFFINE = 1e-5
@@ -295,6 +296,8 @@ def sdp_solve(
     with a residual-decrease safeguard. Termination uses unscaled residual
     and gap thresholds eps_abs + eps_rel * (1 + scale).
     """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     ops = _SvecOps(prob.structure.n_words)
     a_mat, b_vec, c_vec = _conic_data(prob, ops)
     m, n = a_mat.shape
@@ -506,6 +509,11 @@ def scan(
     return rows
 
 
+def alpha0_deviations(rows: list[ScanRow]) -> list[float]:
+    """|primal - sqrt(8 - s^2)| for each certified untilted row, in order."""
+    return [abs(row.primal - s13_max(row.s)) for row in rows if row.alpha == 0.0 and row.certified]
+
+
 @dataclass(frozen=True)
 class SanityReport:
     max_dev: float
@@ -523,12 +531,7 @@ def alpha0_sanity(
 ) -> SanityReport:
     """Deviation of certified untilted bounds from sqrt(8 - s^2)."""
     rows = scan([0.0], grid_points, eps_abs=eps_abs, eps_rel=eps_rel, max_iters=max_iters)
-    devs = []
-    for row in rows:
-        if not row.certified:
-            continue
-        analytic = sqrt(max(0.0, (2.0 * SQRT2 - row.s) * (2.0 * SQRT2 + row.s)))
-        devs.append(abs(row.primal - analytic))
+    devs = alpha0_deviations(rows)
     return SanityReport(
         max_dev=max(devs) if devs else float("nan"),
         mean_dev=float(np.mean(devs)) if devs else float("nan"),

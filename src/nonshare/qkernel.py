@@ -11,12 +11,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, sin, sqrt
+from math import cos, sin
 
 import numpy as np
 
-SQRT2 = sqrt(2.0)
-TSIRELSON = 2.0 * SQRT2
+from .frontier import SQRT2, TSIRELSON  # TSIRELSON is re-exported for callers
 
 HERMITICITY_TOL = 1e-10
 NORM_TOL = 1e-12
@@ -75,34 +74,6 @@ class DensityOp:
 
 
 @dataclass(frozen=True)
-class Observable:
-    """Single-qubit self-adjoint contraction assigned to one party.
-
-    Spectrum must lie in [-1, 1]; binary observables additionally square to
-    the identity.
-    """
-
-    matrix: np.ndarray
-    party: int
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("observable is not Hermitian")
-        mat = (mat + mat.conj().T) / 2.0
-        object.__setattr__(self, "matrix", mat)
-        eig = np.linalg.eigvalsh(mat)
-        if eig.min() < -1.0 - HERMITICITY_TOL or eig.max() > 1.0 + HERMITICITY_TOL:
-            raise ValueError("observable spectrum is outside [-1, 1]")
-
-    @property
-    def is_binary(self) -> bool:
-        mat = self.matrix
-        return bool(np.max(np.abs(mat @ mat - np.eye(mat.shape[0]))) <= HERMITICITY_TOL)
-
-
-@dataclass(frozen=True)
 class QuantumStrategy:
     """State shared by n parties plus one pair of binary observables per party."""
 
@@ -129,28 +100,13 @@ class QuantumStrategy:
         return len(self.party_dims)
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two square operators."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError("tensor expects square operators")
-    return np.kron(a, b)
-
-
-def _as_matrix(obs: Observable | np.ndarray) -> np.ndarray:
-    if isinstance(obs, Observable):
-        return obs.matrix
-    return np.asarray(obs, dtype=complex)
-
-
 def expectation(state: Ket | DensityOp, obs: np.ndarray) -> float:
     """Real expectation value <obs> in the given state.
 
     Raises if dimensions mismatch or the imaginary part exceeds 1e-8, which
     signals a non-Hermitian operator.
     """
-    obs = _as_matrix(obs)
+    obs = np.asarray(obs, dtype=complex)
     if obs.shape != (state.dim, state.dim):
         raise ValueError("operator dimension does not match the state")
     if isinstance(state, Ket):
@@ -228,10 +184,10 @@ def _lift(obs: np.ndarray, party: int, n_parties: int) -> np.ndarray:
 
 def chsh_score(
     state: Ket | DensityOp,
-    a0: Observable | np.ndarray,
-    a1: Observable | np.ndarray,
-    b0: Observable | np.ndarray,
-    b1: Observable | np.ndarray,
+    a0: np.ndarray,
+    a1: np.ndarray,
+    b0: np.ndarray,
+    b1: np.ndarray,
     party_a: int = 1,
     party_b: int = 2,
 ) -> float:
@@ -247,20 +203,10 @@ def chsh_score(
         raise ValueError("state dimension is not a power of 2")
     if not (1 <= party_a <= n_parties and 1 <= party_b <= n_parties):
         raise ValueError("party index out of range")
-    a_ops = [_lift(_as_matrix(a0), party_a, n_parties), _lift(_as_matrix(a1), party_a, n_parties)]
-    b_ops = [_lift(_as_matrix(b0), party_b, n_parties), _lift(_as_matrix(b1), party_b, n_parties)]
+    a_ops = [_lift(a0, party_a, n_parties), _lift(a1, party_a, n_parties)]
+    b_ops = [_lift(b0, party_b, n_parties), _lift(b1, party_b, n_parties)]
     corr = [[expectation(state, a_ops[x] @ b_ops[y]) for y in (0, 1)] for x in (0, 1)]
     return corr[0][0] + corr[0][1] + corr[1][0] - corr[1][1]
-
-
-def fidelity_with_pure(rho: DensityOp | Ket, psi: Ket) -> float:
-    """Fidelity sqrt(<psi| rho |psi>) with a pure target state."""
-    if isinstance(rho, Ket):
-        rho = rho.density()
-    if rho.dim != psi.dim:
-        raise ValueError("state dimensions do not match")
-    overlap = expectation(rho, np.outer(psi.amplitudes, psi.amplitudes.conj()))
-    return sqrt(min(max(overlap, 0.0), 1.0))
 
 
 def born_behavior(strategy: QuantumStrategy, n_settings: int = 2, n_outcomes: int = 2):

@@ -192,8 +192,8 @@ def test_copied_seed_extension_is_exact():
 
 
 def test_deterministic_behaviors_count_and_indexing():
-    pair = deterministic_behaviors(2)
-    triple = deterministic_behaviors(3)
+    pair = deterministic_behaviors((2, 2), (2, 2))
+    triple = deterministic_behaviors((2, 2, 2), (2, 2, 2))
     assert len(pair) == 16
     assert len(triple) == 64
     # v = 16 f1 + 4 f2 + f3 with f = 2 x(0) + x(1)

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +131,29 @@ def test_simulate_strategy_errors(capsys, tmp_path):
     missing = tmp_path / "none.json"
     assert main(["simulate", "--strategy", f"lhv:{missing}", "--n", "10"]) == EXIT_INPUT
     capsys.readouterr()
+    malformed = tmp_path / "bad.json"
+    for payload in ({"weights": [1.0]}, [1, 2]):
+        malformed.write_text(json.dumps(payload))
+        assert main(["simulate", "--strategy", f"lhv:{malformed}", "--n", "10"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error: ")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["frontier", "--s-min", "2.0", "--points", "50"], "frontier_s2_50.csv"),
+        (["frontier", "--format", "json", "--points", "20"], "frontier_20.json"),
+        (["werner", "--points", "50"], "werner_50.csv"),
+        (["certify", "--s12", "2.5"], "certify_s12_2.5.json"),
+    ],
+)
+def test_closed_form_outputs_are_pinned(capsys, argv, golden):
+    # closed forms, np.linspace and formatting only, so every digit is stable
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 def test_werner_scan_csv_and_threshold(tmp_path):
@@ -187,6 +211,12 @@ def test_npa_scan_argument_errors(capsys):
     assert main(["npa-scan", "--alphas", ""]) == EXIT_INPUT
     assert main(["npa-scan", "--alphas", "1.0", "--grid", "1"]) == EXIT_INPUT
     capsys.readouterr()
+    for max_iters in ("0", "-5"):
+        argv = ["npa-scan", "--alphas", "0", "--grid", "2", "--max-iters", max_iters]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: max_iters")
 
 
 def test_verify_distance_jsonl(tmp_path, capsys):

@@ -38,7 +38,7 @@ from nonshare.qkernel import bell_strategy, born_behavior
 
 
 def det_pair(f1: int, f2: int) -> Behavior:
-    table = deterministic_behaviors(2)[4 * f1 + f2]
+    table = deterministic_behaviors((2, 2), (2, 2))[4 * f1 + f2]
     return Behavior(2, (2, 2), (2, 2), table)
 
 
@@ -182,6 +182,22 @@ def test_lhv_behaviors_have_zero_capacity():
             prob = ExtensionProblem(authorized=p12, extension_class=cls)
             assert anticollusion_capacity(prob) == pytest.approx(0.0, abs=1e-8)
             assert shadow_tv_distance(prob) == pytest.approx(0.0, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "inputs, outputs",
+    [((1, 2), (2, 2)), ((2, 1), (2, 2)), ((2, 2), (1, 2)), ((2, 2), (2, 1))],
+)
+def test_size_one_alphabets(inputs, outputs):
+    # with one input or one output on a side, every pair behavior is shared
+    # exactly by a colluder that copies party 2: capacity = distance = 0
+    verts = deterministic_behaviors(inputs, outputs)
+    assert len(verts) == outputs[0] ** inputs[0] * outputs[1] ** inputs[1]
+    p12 = Behavior(2, inputs, outputs, verts.mean(axis=0))
+    for cls in (CLASSICAL, NO_SIGNALLING):
+        record = verification_record(p12, cls)
+        assert record["capacity"] == pytest.approx(0.0, abs=1e-9)
+        assert record["distance"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_capacity_equals_distance_on_random_ns_corpus():

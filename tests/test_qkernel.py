@@ -14,7 +14,6 @@ from nonshare.qkernel import (
     TSIRELSON,
     DensityOp,
     Ket,
-    Observable,
     QuantumStrategy,
     bell_settings,
     bell_state,
@@ -22,9 +21,7 @@ from nonshare.qkernel import (
     born_behavior,
     chsh_score,
     expectation,
-    fidelity_with_pure,
     pair_settings,
-    tensor,
     tightness_state,
     tightness_strategy,
     werner_state,
@@ -53,13 +50,6 @@ def test_density_validation():
         DensityOp(np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative eigenvalue
     with pytest.raises(ValueError):
         DensityOp(np.eye(2))  # trace 2
-
-
-def test_observable_spectrum_check():
-    with pytest.raises(ValueError):
-        Observable(matrix=2.0 * SIGMA_X, party=1)
-    obs = Observable(matrix=SIGMA_X, party=1)
-    assert obs.is_binary
 
 
 def test_expectation_real_guard():
@@ -101,15 +91,6 @@ def test_quarter_circle_of_tightness_state():
         assert abs(s12 * s12 + s13 * s13 - 8.0) < 1e-8
 
 
-def test_fidelity_bell_with_itself_and_werner():
-    psi = bell_state()
-    assert fidelity_with_pure(psi, psi) == pytest.approx(1.0, abs=1e-12)
-    for eta in (0.0, 0.5, 0.9):
-        rho = werner_state(eta)
-        expected = sqrt(eta + (1.0 - eta) / 4.0)
-        assert fidelity_with_pure(rho, psi) == pytest.approx(expected, abs=1e-12)
-
-
 def test_born_behavior_is_no_signalling_and_normalized():
     rng = np.random.default_rng(11)
     for _ in range(5):
@@ -142,7 +123,6 @@ def test_born_behavior_matches_bell_correlators():
 
 
 def test_tensor_and_strategy_validation():
-    assert tensor(np.eye(2), np.eye(2)).shape == (4, 4)
     with pytest.raises(ValueError):
         # 2-party state with 3 observable pairs
         QuantumStrategy(
