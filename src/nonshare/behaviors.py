@@ -45,10 +45,6 @@ class Behavior:
     def n_inputs(self) -> int:
         return int(np.prod(self.inputs_per_party))
 
-    def conditional(self, joint_input: tuple[int, ...]) -> np.ndarray:
-        """Output distribution for one joint input."""
-        return self.table[joint_input]
-
 
 @dataclass(frozen=True)
 class LhvModel:
@@ -102,11 +98,6 @@ class GameKernel:
             return self.pi
         shape = self.values.shape[:n_input_axes]
         return np.full(shape, 1.0 / float(np.prod(shape)))
-
-
-def signed_outcomes(labels: np.ndarray) -> np.ndarray:
-    """Map outcome labels {0, 1} to values {+1, -1}."""
-    return 1 - 2 * np.asarray(labels)
 
 
 def _collapse(p: Behavior, kept: tuple[int, ...]) -> tuple[np.ndarray, float]:

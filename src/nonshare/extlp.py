@@ -11,7 +11,7 @@ alphabets are rejected so every shipped solve stays exact and fast.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Literal
 
@@ -33,8 +33,6 @@ CLASSICAL = "classical"
 NO_SIGNALLING = "no-signalling"
 ExtensionClass = Literal["classical", "no-signalling"]
 
-DUALITY_GAP_TOL = 1e-8
-
 
 class LpInfeasibleError(RuntimeError):
     """The LP has no feasible point (meaningful signal for Classical class)."""
@@ -48,73 +46,10 @@ class LpNumericalError(RuntimeError):
     """The solver stopped without a trustworthy optimum."""
 
 
-@dataclass(frozen=True)
-class LinearProgram:
-    """Dense LP: optimize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, bounds."""
-
-    c: np.ndarray
-    a_ub: np.ndarray | None = None
-    b_ub: np.ndarray | None = None
-    a_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-    bounds: tuple[tuple[float | None, float | None], ...] | None = None
-    maximize: bool = False
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.c, dtype=float)
-        object.__setattr__(self, "c", c)
-        for name in ("a_ub", "a_eq"):
-            mat = getattr(self, name)
-            if mat is not None:
-                mat = np.asarray(mat, dtype=float)
-                if mat.ndim != 2 or mat.shape[1] != c.size:
-                    raise ValueError(f"{name} must be 2-d with {c.size} columns")
-                object.__setattr__(self, name, mat)
-        for mat_name, rhs_name in (("a_ub", "b_ub"), ("a_eq", "b_eq")):
-            mat, rhs = getattr(self, mat_name), getattr(self, rhs_name)
-            if (mat is None) != (rhs is None):
-                raise ValueError(f"{mat_name} and {rhs_name} must be given together")
-            if rhs is not None:
-                rhs = np.asarray(rhs, dtype=float)
-                if rhs.shape != (mat.shape[0],):
-                    raise ValueError(f"{rhs_name} length must match {mat_name} rows")
-                object.__setattr__(self, rhs_name, rhs)
-        if self.bounds is not None and len(self.bounds) != c.size:
-            raise ValueError("bounds must list one (lo, hi) pair per variable")
-
-    @property
-    def n_vars(self) -> int:
-        return self.c.size
-
-
-@dataclass(frozen=True)
-class LpSolution:
-    status: str
-    optimum: float
-    primal: np.ndarray
-    dual_optimum: float
-
-    @property
-    def gap(self) -> float:
-        return abs(self.optimum - self.dual_optimum)
-
-
-def lp_solve(lp: LinearProgram) -> LpSolution:
-    """Solve with HiGHS; reconstruct the dual objective from the marginals.
-
-    The dual value is b_ub.y_ub + b_eq.y_eq plus the active bound terms, which
-    HiGHS returns exactly for basic optimal solutions; gap checks ride on it.
-    """
-    c = -lp.c if lp.maximize else lp.c
-    bounds = lp.bounds if lp.bounds is not None else (0, None)
+def _lp_minimum(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=(0, None)) -> float:
+    """Minimum of c.x under a_ub x <= b_ub, a_eq x = b_eq and bounds, by HiGHS."""
     res = linprog(
-        c,
-        A_ub=lp.a_ub,
-        b_ub=lp.b_ub,
-        A_eq=lp.a_eq,
-        b_eq=lp.b_eq,
-        bounds=bounds,
-        method="highs",
+        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs"
     )
     if res.status == 2:
         raise LpInfeasibleError("LP infeasible: " + res.message)
@@ -122,28 +57,7 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
         raise LpUnboundedError("LP unbounded: " + res.message)
     if res.status != 0:
         raise LpNumericalError(f"LP solver failure (status {res.status}): " + res.message)
-    dual = 0.0
-    if lp.b_ub is not None:
-        dual += float(lp.b_ub @ res.ineqlin.marginals)
-    if lp.b_eq is not None:
-        dual += float(lp.b_eq @ res.eqlin.marginals)
-    if lp.bounds is not None:
-        lo = np.array([b[0] if b[0] is not None else -np.inf for b in lp.bounds])
-        hi = np.array([b[1] if b[1] is not None else np.inf for b in lp.bounds])
-    else:
-        lo = np.zeros(lp.n_vars)
-        hi = np.full(lp.n_vars, np.inf)
-    lo_fin = np.isfinite(lo)
-    hi_fin = np.isfinite(hi)
-    dual += float(lo[lo_fin] @ res.lower.marginals[lo_fin])
-    dual += float(hi[hi_fin] @ res.upper.marginals[hi_fin])
-    sign = -1.0 if lp.maximize else 1.0
-    return LpSolution(
-        status="optimal",
-        optimum=sign * float(res.fun),
-        primal=res.x,
-        dual_optimum=sign * dual,
-    )
+    return float(res.fun)
 
 
 def _require_desk_scale(p: Behavior) -> None:
@@ -160,68 +74,65 @@ class ExtensionProblem:
     The colluder's alphabets equal party 2's. The authorized behavior must be
     no-signalling; under the classical class it must additionally admit an
     LHV-mixture decomposition, checked by a feasibility LP at construction.
+    Construction also builds the class's LP data once: the equality block
+    ``a_eq x = b_eq`` on the extension variables x (tripartite table cells,
+    or weights over deterministic tripartite tables) and ``pair13``, the map
+    from x to the relabelled (1,3) pair table, one row per pair cell
+    (t1, t3, x1, x3); the marginal averages over the dropped party-2 input.
     """
 
     authorized: Behavior
     extension_class: ExtensionClass
+    a_eq: np.ndarray = field(init=False, repr=False, compare=False)
+    b_eq: np.ndarray = field(init=False, repr=False, compare=False)
+    pair13: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _require_desk_scale(self.authorized)
+        p12 = self.authorized
+        _require_desk_scale(p12)
         if self.extension_class not in (CLASSICAL, NO_SIGNALLING):
             raise ValueError(f"unknown extension class {self.extension_class!r}")
-        report = check_no_signalling(self.authorized)
+        report = check_no_signalling(p12)
         if not report.passed:
             raise ValueError(
                 f"authorized behavior signals (residual {report.max_residual:.3e})"
             )
-        if self.extension_class == CLASSICAL:
-            verts = deterministic_behaviors(
-                self.authorized.inputs_per_party, self.authorized.outputs_per_party
-            )
-            a_eq, b_eq = _mixture_rows(verts, self.authorized)
-            lp = LinearProgram(c=np.zeros(len(verts)), a_eq=a_eq, b_eq=b_eq)
-            lp_solve(lp)  # raises LpInfeasibleError for nonclassical input
-
-    @property
-    def colluder_inputs(self) -> int:
-        return self.authorized.inputs_per_party[1]
-
-    @property
-    def colluder_outputs(self) -> int:
-        return self.authorized.outputs_per_party[1]
-
-
-def _extension_shape(prob: ExtensionProblem) -> tuple[int, ...]:
-    i1, i2 = prob.authorized.inputs_per_party
-    o1, o2 = prob.authorized.outputs_per_party
-    return (i1, i2, i2, o1, o2, o2)
-
-
-def _cell_basis(prob: ExtensionProblem) -> np.ndarray:
-    """Unit vector of every extension cell, indexed (t1, t2, t3, x1, x2, x3, var)."""
-    shape = _extension_shape(prob)
-    n_vars = int(np.prod(shape))
-    return np.eye(n_vars).reshape(shape + (n_vars,))
+        i1, i2 = p12.inputs_per_party
+        o1, o2 = p12.outputs_per_party
+        shape = (i1, i2, i2, o1, o2, o2)
+        if self.extension_class == NO_SIGNALLING:
+            n_vars = int(np.prod(shape))
+            basis = np.eye(n_vars).reshape(shape + (n_vars,))
+            a_eq, b_eq = _ns_extension_rows(basis, p12)
+            pair13 = basis.sum(axis=(1, 4)) * (1.0 / i2)
+        else:
+            tri = deterministic_behaviors(shape[:3], shape[3:])
+            pair_tables = tri[:, :, :, 0].sum(-1)
+            # vertex v = o2**i2 * f12 + f3, so the tables with f3 = 0 are the pair vertices
+            pair_verts = pair_tables[:: o2**i2]
+            mix_eq, mix_rhs = _mixture_rows(pair_verts, p12)
+            # raises LpInfeasibleError for nonclassical input
+            _lp_minimum(np.zeros(len(pair_verts)), a_eq=mix_eq, b_eq=mix_rhs)
+            a_eq, b_eq = _mixture_rows(pair_tables, p12)
+            pair13 = np.moveaxis(tri[:, :, 0].sum(-2), 0, -1)
+        object.__setattr__(self, "a_eq", a_eq)
+        object.__setattr__(self, "b_eq", b_eq)
+        object.__setattr__(self, "pair13", pair13.reshape((p12.table.size, -1)))
 
 
-def _extension_vertices(prob: ExtensionProblem) -> np.ndarray:
-    """Deterministic tripartite tables, the colluder on party 2's alphabets."""
-    shape = _extension_shape(prob)
-    return deterministic_behaviors(shape[:3], shape[3:])
-
-
-def _ns_extension_rows(prob: ExtensionProblem) -> tuple[np.ndarray, np.ndarray]:
+def _ns_extension_rows(basis: np.ndarray, p12: Behavior) -> tuple[np.ndarray, np.ndarray]:
     """Equality block for the no-signalling extension polytope.
 
-    Rows: per-input-triple normalization; the (1,2)-marginal pin
-    Sum_x3 P123 = P12 for every colluder input, by t3 then (t1, t2, x1, x2);
-    and party-wise no-signalling (marginal over one party independent of that
-    party's input), by party k, t_k >= 1, the other inputs, the other outputs.
+    ``basis`` holds the unit vector of every extension cell, indexed
+    (t1, t2, t3, x1, x2, x3, var). Rows: per-input-triple normalization; the
+    (1,2)-marginal pin Sum_x3 P123 = P12 for every colluder input, by t3 then
+    (t1, t2, x1, x2); and party-wise no-signalling (marginal over one party
+    independent of that party's input), by party k, t_k >= 1, the other
+    inputs, the other outputs.
     """
-    basis = _cell_basis(prob)
     i1, i2, i3 = basis.shape[:3]
     n_vars = basis.shape[-1]
-    p12 = prob.authorized.table.reshape(-1)
+    table = p12.table.reshape(-1)
     blocks = [basis.sum(axis=(3, 4, 5)), np.moveaxis(basis.sum(axis=5), 2, 0)]
     for k in range(3):
         summed = np.moveaxis(basis.sum(axis=3 + k), k, 0)  # t_k first, x_k summed out
@@ -230,7 +141,7 @@ def _ns_extension_rows(prob: ExtensionProblem) -> tuple[np.ndarray, np.ndarray]:
     rhs = np.zeros(len(rows))
     n_norm = i1 * i2 * i3
     rhs[:n_norm] = 1.0
-    rhs[n_norm : n_norm + i3 * p12.size] = np.tile(p12, i3)
+    rhs[n_norm : n_norm + i3 * table.size] = np.tile(table, i3)
     return rows, rhs
 
 
@@ -240,30 +151,6 @@ def _mixture_rows(pair_tables: np.ndarray, authorized: Behavior) -> tuple[np.nda
     a_eq = np.vstack([pair_tables.reshape(n_verts, -1).T, np.ones((1, n_verts))])
     b_eq = np.concatenate([authorized.table.reshape(-1), [1.0]])
     return a_eq, b_eq
-
-
-def _classical_rows(prob: ExtensionProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Equality block for the classical class: mixture weights hit P12."""
-    return _mixture_rows(_extension_vertices(prob)[:, :, :, 0].sum(-1), prob.authorized)
-
-
-def _pair13_coefficients(prob: ExtensionProblem) -> np.ndarray:
-    """Map from extension variables to the relabelled (1,3) pair table.
-
-    Returns an array with leading axes the (1,3) pair cell (t1, t3, x1, x3)
-    and trailing axes the extension variables; the marginal averages over the
-    dropped party-2 input, matching the behavior-marginal convention.
-    """
-    if prob.extension_class == NO_SIGNALLING:
-        i2 = prob.authorized.inputs_per_party[1]
-        return _cell_basis(prob).sum(axis=(1, 4)) * (1.0 / i2)
-    return np.moveaxis(_extension_vertices(prob)[:, :, 0].sum(-2), 0, -1)
-
-
-def _extension_equalities(prob: ExtensionProblem) -> tuple[np.ndarray, np.ndarray]:
-    if prob.extension_class == NO_SIGNALLING:
-        return _ns_extension_rows(prob)
-    return _classical_rows(prob)
 
 
 def collusive_vulnerability(prob: ExtensionProblem, kernel: GameKernel) -> float:
@@ -279,11 +166,8 @@ def collusive_vulnerability(prob: ExtensionProblem, kernel: GameKernel) -> float
         raise ValueError("kernel must live on the relabelled (1,3) pair alphabets")
     pi = kernel.input_distribution(2)
     cell_weight = pi[:, :, None, None] * kernel.values
-    coeff = _pair13_coefficients(prob)
-    c = np.tensordot(cell_weight, coeff, axes=4)
-    a_eq, b_eq = _extension_equalities(prob)
-    sol = lp_solve(LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq, maximize=True))
-    return float(sol.optimum)
+    c = cell_weight.reshape(-1) @ prob.pair13
+    return -_lp_minimum(-c, a_eq=prob.a_eq, b_eq=prob.b_eq)
 
 
 def shadow_tv_distance(prob: ExtensionProblem) -> float:
@@ -294,13 +178,10 @@ def shadow_tv_distance(prob: ExtensionProblem) -> float:
     uniform over input pairs.
     """
     i1, i2 = prob.authorized.inputs_per_party
-    o1, o2 = prob.authorized.outputs_per_party
     p12 = prob.authorized.table.reshape(-1)
-    n_cells = p12.size
-    coeff = _pair13_coefficients(prob).reshape((n_cells, -1))
-    n_ext = coeff.shape[1]
-    a_eq, b_eq = _extension_equalities(prob)
-    a_eq = np.hstack([a_eq, np.zeros((a_eq.shape[0], n_cells))])
+    coeff = prob.pair13
+    n_cells, n_ext = coeff.shape
+    a_eq = np.hstack([prob.a_eq, np.zeros((prob.a_eq.shape[0], n_cells))])
     # u_cell >= +-(P12 - Q): two inequality rows per pair cell
     eye = np.eye(n_cells)
     a_ub = np.vstack([
@@ -309,8 +190,7 @@ def shadow_tv_distance(prob: ExtensionProblem) -> float:
     ])
     b_ub = np.concatenate([-p12, p12])
     c = np.concatenate([np.zeros(n_ext), np.full(n_cells, 0.5 / (i1 * i2))])
-    sol = lp_solve(LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq))
-    return float(sol.optimum)
+    return _lp_minimum(c, a_ub, b_ub, a_eq, prob.b_eq)
 
 
 def anticollusion_capacity(prob: ExtensionProblem) -> float:
@@ -327,15 +207,12 @@ def anticollusion_capacity(prob: ExtensionProblem) -> float:
     p12 = prob.authorized.table.reshape(-1)
     n_cells = p12.size
     pi_cell = 1.0 / (i1 * i2)
-    g_mat = pi_cell * _pair13_coefficients(prob).reshape((n_cells, -1)).T
-    a_eq, b_eq = _extension_equalities(prob)
-    n_ext, n_eq = g_mat.shape[0], a_eq.shape[0]
-    c = np.concatenate([pi_cell * p12, -b_eq])
-    a_ub = np.hstack([g_mat, -a_eq.T])
-    b_ub = np.zeros(n_ext)
+    g_mat = pi_cell * prob.pair13.T
+    n_ext, n_eq = g_mat.shape[0], prob.a_eq.shape[0]
+    c = np.concatenate([pi_cell * p12, -prob.b_eq])
+    a_ub = np.hstack([g_mat, -prob.a_eq.T])
     bounds = tuple([(0.0, 1.0)] * n_cells + [(None, None)] * n_eq)
-    sol = lp_solve(LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub, bounds=bounds, maximize=True))
-    return max(0.0, float(sol.optimum))
+    return max(0.0, -_lp_minimum(-c, a_ub, np.zeros(n_ext), bounds=bounds))
 
 
 def anti_collusion_power(

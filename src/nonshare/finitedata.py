@@ -99,6 +99,8 @@ def simulate_trials(strategy: QuantumStrategy | LhvModel, n: int, seed: int) -> 
         raise ValueError("strategy must be a QuantumStrategy or LhvModel")
     if behavior.n_parties != 2:
         raise ValueError("trial simulation expects a 2-party strategy")
+    if behavior.inputs_per_party != (2, 2) or behavior.outputs_per_party != (2, 2):
+        raise ValueError("trial simulation expects 2 inputs and 2 outputs per party")
     return sample_behavior_trials(behavior, n, seed, source)
 
 

@@ -17,9 +17,8 @@ step-metric adaptation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -111,7 +110,6 @@ class MomentStructure:
     words: tuple[Word, ...]
     variables: tuple[Word, ...]
     entry_vars: np.ndarray
-    self_adjoint: tuple[bool, ...]
 
     @property
     def n_words(self) -> int:
@@ -120,10 +118,6 @@ class MomentStructure:
     @property
     def n_variables(self) -> int:
         return len(self.variables)
-
-    def variable_id(self, word: Word) -> int:
-        key, _ = canonicalize(word)
-        return self.variables.index(key)
 
 
 def build_structure(words: list[Word] | None = None) -> MomentStructure:
@@ -142,13 +136,7 @@ def build_structure(words: list[Word] | None = None) -> MomentStructure:
                 variables.append(key)
             entry[i, j] = index[key]
     entry.flags.writeable = False
-    self_adj = tuple(key == _reduce(tuple(reversed(key))) for key in variables)
-    return MomentStructure(
-        words=word_tuple,
-        variables=tuple(variables),
-        entry_vars=entry,
-        self_adjoint=self_adj,
-    )
+    return MomentStructure(words=word_tuple, variables=tuple(variables), entry_vars=entry)
 
 
 def _score_vector(structure: MomentStructure, alpha: float, partner: str) -> np.ndarray:
@@ -298,6 +286,9 @@ def sdp_solve(
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    for name, eps in (("eps_abs", eps_abs), ("eps_rel", eps_rel)):
+        if not (isfinite(eps) and eps >= 0.0):
+            raise ValueError(f"{name} must be finite and non-negative, got {eps}")
     ops = _SvecOps(prob.structure.n_words)
     a_mat, b_vec, c_vec = _conic_data(prob, ops)
     m, n = a_mat.shape
@@ -552,35 +543,3 @@ def scan_to_csv(rows: list[ScanRow]) -> str:
             f"{r.max_residual:.9g},{r.min_eig:.9g},{r.status},{'yes' if r.certified else 'no'}"
         )
     return "\n".join(lines) + "\n"
-
-
-def word_to_str(word: Word) -> str:
-    return "I" if not word else "".join(word)
-
-
-def problem_to_json(prob: MomentProblem) -> str:
-    """Dump of variables, entry map, and the two score vectors for
-    external cross-validation."""
-    st = prob.structure
-    payload = {
-        "alpha": prob.alpha,
-        "s": prob.s,
-        "words": [word_to_str(w) for w in st.words],
-        "variables": [
-            {"id": k, "word": word_to_str(key), "self_adjoint": st.self_adjoint[k]}
-            for k, key in enumerate(st.variables)
-        ],
-        "entry_map": [[int(v) for v in row] for row in st.entry_vars],
-        "objective": {
-            word_to_str(st.variables[k]): float(coeff)
-            for k, coeff in enumerate(prob.objective)
-            if coeff != 0.0
-        },
-        "constraint": {
-            word_to_str(st.variables[k]): float(coeff)
-            for k, coeff in enumerate(prob.constraint)
-            if coeff != 0.0
-        },
-        "threshold": prob.s,
-    }
-    return json.dumps(payload, indent=2) + "\n"

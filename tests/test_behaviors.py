@@ -22,7 +22,6 @@ from nonshare.behaviors import (
     marginal,
     pr_box,
     relabel_13_to_12,
-    signed_outcomes,
     tv_distance,
 )
 from nonshare.qkernel import TSIRELSON, bell_strategy, born_behavior
@@ -53,11 +52,6 @@ def test_behavior_validation():
     p = uniform_pair()
     assert not p.table.flags.writeable
     assert p.n_inputs == 4
-    assert p.conditional((1, 0)).shape == (2, 2)
-
-
-def test_signed_outcomes():
-    assert list(signed_outcomes(np.array([0, 1, 0]))) == [1, -1, 1]
 
 
 def test_marginal_averages_and_flags_signalling():

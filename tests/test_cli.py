@@ -132,10 +132,20 @@ def test_simulate_strategy_errors(capsys, tmp_path):
     assert main(["simulate", "--strategy", f"lhv:{missing}", "--n", "10"]) == EXIT_INPUT
     capsys.readouterr()
     malformed = tmp_path / "bad.json"
-    for payload in ({"weights": [1.0]}, [1, 2]):
+    three_outcomes = {
+        "weights": [1.0],
+        "responses": [[[[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]]], [[[0.1, 0.1, 0.8], [0.5, 0.25, 0.25]]]],
+    }
+    three_inputs = {
+        "weights": [1.0],
+        "responses": [[[[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]], [[[1.0, 0.0], [0.0, 1.0]]]],
+    }
+    for payload in ({"weights": [1.0]}, [1, 2], three_outcomes, three_inputs):
         malformed.write_text(json.dumps(payload))
         assert main(["simulate", "--strategy", f"lhv:{malformed}", "--n", "10"]) == EXIT_INPUT
-        assert capsys.readouterr().err.startswith("input error: ")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -217,6 +227,14 @@ def test_npa_scan_argument_errors(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("input error: max_iters")
+    for flag in ("--eps-abs", "--eps-rel"):
+        for value in ("-1", "nan", "inf"):
+            argv = ["npa-scan", "--alphas", "0.5", "--grid", "2", "--max-iters", "400",
+                    flag, value]
+            assert main(argv) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"input error: {flag[2:].replace('-', '_')}")
 
 
 def test_verify_distance_jsonl(tmp_path, capsys):

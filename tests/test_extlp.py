@@ -21,18 +21,17 @@ from nonshare.extlp import (
     CLASSICAL,
     NO_SIGNALLING,
     ExtensionProblem,
-    LinearProgram,
     LpInfeasibleError,
     LpUnboundedError,
     anti_collusion_power,
     anticollusion_capacity,
     collusive_vulnerability,
     corpus_to_jsonl,
-    lp_solve,
     random_lhv_model,
     random_ns_behavior,
     shadow_tv_distance,
     verification_record,
+    _lp_minimum,
 )
 from nonshare.qkernel import bell_strategy, born_behavior
 
@@ -46,65 +45,14 @@ def uniform_pair() -> Behavior:
     return Behavior(2, (2, 2), (2, 2), np.full((2, 2, 2, 2), 0.25))
 
 
-def test_lp_solve_minimize():
-    lp = LinearProgram(
-        c=np.array([1.0, 1.0]),
-        a_ub=np.array([[-1.0, 0.0], [0.0, -1.0]]),
-        b_ub=np.array([-1.0, -2.0]),
-    )
-    sol = lp_solve(lp)
-    assert sol.status == "optimal"
-    assert sol.optimum == pytest.approx(3.0, abs=1e-9)
-    assert sol.primal == pytest.approx([1.0, 2.0], abs=1e-9)
-    assert sol.gap < 1e-9
-
-
-def test_lp_solve_maximize_with_bounds():
-    lp = LinearProgram(
-        c=np.array([1.0, 2.0]),
-        bounds=((0.0, 1.0), (0.0, 1.0)),
-        maximize=True,
-    )
-    sol = lp_solve(lp)
-    assert sol.optimum == pytest.approx(3.0, abs=1e-12)
-    assert sol.gap < 1e-9
-
-
-def test_lp_solve_equality_dual():
-    # min x + 2y s.t. x + y = 1, x, y >= 0 -> optimum 1 at (1, 0)
-    lp = LinearProgram(
-        c=np.array([1.0, 2.0]),
-        a_eq=np.array([[1.0, 1.0]]),
-        b_eq=np.array([1.0]),
-    )
-    sol = lp_solve(lp)
-    assert sol.optimum == pytest.approx(1.0, abs=1e-12)
-    assert sol.dual_optimum == pytest.approx(1.0, abs=1e-9)
-
-
 def test_lp_solve_infeasible_and_unbounded():
     with pytest.raises(LpInfeasibleError):
-        lp_solve(LinearProgram(
-            c=np.array([1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([-1.0]),
-        ))
+        _lp_minimum(np.array([1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([-1.0]))
     with pytest.raises(LpUnboundedError):
-        lp_solve(LinearProgram(c=np.array([1.0]), maximize=True))
-
-
-def test_linear_program_validation():
-    with pytest.raises(ValueError):
-        LinearProgram(c=np.ones(2), a_ub=np.ones((1, 3)), b_ub=np.ones(1))
-    with pytest.raises(ValueError):
-        LinearProgram(c=np.ones(2), a_ub=np.ones((1, 2)))  # missing b_ub
-    with pytest.raises(ValueError):
-        LinearProgram(c=np.ones(2), bounds=((0.0, 1.0),))
-    assert LinearProgram(c=np.ones(3)).n_vars == 3
+        _lp_minimum(np.array([-1.0]))
 
 
 def test_extension_problem_validation():
-    prob = ExtensionProblem(authorized=pr_box(), extension_class=NO_SIGNALLING)
-    assert prob.colluder_inputs == 2
-    assert prob.colluder_outputs == 2
     with pytest.raises(LpInfeasibleError):
         ExtensionProblem(authorized=pr_box(), extension_class=CLASSICAL)
     with pytest.raises(ValueError, match="unknown extension class"):
@@ -158,6 +106,26 @@ def test_pr_box_anchors():
     assert cap == pytest.approx(0.5, abs=1e-9)
     assert dist == pytest.approx(0.5, abs=1e-9)
     assert abs(cap - dist) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "name, cls, capacity, distance",
+    [
+        ("bell", NO_SIGNALLING, 0.20710678118654716, 0.2071067811865474),
+        ("random-ns", NO_SIGNALLING, 3.469446951953614e-16, 0.0),
+        ("random-lhv", CLASSICAL, 0.0, 0.0),
+    ],
+)
+def test_capacity_and_distance_are_pinned(name, cls, capacity, distance):
+    # HiGHS optima on fixed instances: a change in the LP data shows here
+    p12 = {
+        "bell": lambda: born_behavior(bell_strategy()),
+        "random-ns": lambda: random_ns_behavior(np.random.default_rng(3)),
+        "random-lhv": lambda: lhv_behavior(random_lhv_model(np.random.default_rng(2026))),
+    }[name]()
+    prob = ExtensionProblem(authorized=p12, extension_class=cls)
+    assert anticollusion_capacity(prob) == pytest.approx(capacity, abs=1e-12)
+    assert shadow_tv_distance(prob) == pytest.approx(distance, abs=1e-12)
 
 
 def test_ns_class_dominates_classical():

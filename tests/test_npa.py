@@ -1,6 +1,5 @@
 """Moment-matrix relaxation: word algebra, assembly, solver, scan, IO."""
 
-import json
 from dataclasses import replace
 from math import cos, sin, sqrt
 
@@ -20,12 +19,10 @@ from nonshare.npa import (
     certify_point,
     classical_bound,
     moment_matrix,
-    problem_to_json,
     quantum_maximum,
     scan,
     scan_to_csv,
     sdp_solve,
-    word_to_str,
 )
 from nonshare.qkernel import SIGMA_X, SIGMA_Z, Ket, chsh_score, expectation
 from test_acceptance import REFERENCE_ROWS
@@ -75,7 +72,8 @@ def test_structure_shape_and_symmetry():
     assert np.array_equal(st.entry_vars, st.entry_vars.T)
     assert np.all(np.diag(st.entry_vars) == -1)  # w^† w = identity
     assert not st.entry_vars.flags.writeable
-    assert st.variable_id(("B0", "A0")) == st.variable_id(("A0", "B0"))
+    variable = [st.variables.index(canonicalize(w)[0]) for w in (("B0", "A0"), ("A0", "B0"))]
+    assert variable[0] == variable[1]
     # every referenced variable id is in range
     used = st.entry_vars[st.entry_vars >= 0]
     assert used.min() >= 0 and used.max() == st.n_variables - 1
@@ -287,22 +285,3 @@ def test_scan_to_csv_format():
     assert first[0] == "1.5"
     assert first[-1] in ("yes", "no")
     float(first[2])  # primal parses
-
-
-def test_word_to_str():
-    assert word_to_str(()) == "I"
-    assert word_to_str(("A0", "B1")) == "A0B1"
-
-
-def test_problem_to_json_payload():
-    payload = json.loads(problem_to_json(assemble(0.5, 2.6, STRUCTURE)))
-    assert payload["alpha"] == 0.5
-    assert payload["threshold"] == 2.6
-    assert len(payload["words"]) == 22
-    assert len(payload["variables"]) == 74
-    assert len(payload["entry_map"]) == 22
-    assert payload["objective"]["A0C0"] == 1.0
-    assert payload["objective"]["A0"] == 0.5
-    assert payload["constraint"]["A1B1"] == -1.0
-    ids = [v["id"] for v in payload["variables"]]
-    assert ids == list(range(74))
