@@ -24,6 +24,15 @@ from .qkernel import QuantumStrategy, born_behavior
 GENERATOR_ID = "numpy-PCG64"
 ASSUMPTIONS = "iid,uniform-settings"
 
+# The 16 valid trial rows as batch_to_csv writes them, indexed by 8x + 4y + 2[a=+1] + [b=+1].
+_ROW_VALUES = np.array(
+    [(x, y, a, b) for x in (0, 1) for y in (0, 1) for a in (-1, 1) for b in (-1, 1)],
+    dtype=np.int64,
+)
+_ROWS = [",".join(map(str, row)) for row in _ROW_VALUES.tolist()]
+_ROW_CODES = {row: code for code, row in enumerate(_ROWS)}
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
 
 class EmptyCellError(ValueError):
     """A setting pair has no trials; the correlator-wise estimate is refused."""
@@ -121,18 +130,25 @@ def sample_behavior_trials(behavior: Behavior, n: int, seed: int, source: str) -
     return TrialBatch(x=x, y=y, a=a, b=b, seed=seed, source=source)
 
 
+def _cell_sums(batch: TrialBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Trials per setting cell and the sum of a b over each, both shape (2, 2).
+
+    Both are integers read from one count table over (x, y, [a b = +1]), so
+    a mean formed from them is exact up to its one division.
+    """
+    table = np.bincount(
+        4 * batch.x + 2 * batch.y + (batch.a == batch.b), minlength=8
+    ).reshape(2, 2, 2)
+    return table.sum(axis=2), table[..., 1] - table[..., 0]
+
+
 def estimate_correlators(batch: TrialBatch) -> CorrelatorStats:
     """Empirical correlators E_xy = mean(a b | x, y); refuses empty cells."""
-    e_hat = np.zeros((2, 2))
-    counts = np.zeros((2, 2), dtype=np.int64)
-    prod = batch.a * batch.b
-    for t1 in (0, 1):
-        for t2 in (0, 1):
-            mask = (batch.x == t1) & (batch.y == t2)
-            counts[t1, t2] = int(mask.sum())
-            if counts[t1, t2] == 0:
-                raise EmptyCellError(f"no trials with settings ({t1}, {t2})")
-            e_hat[t1, t2] = prod[mask].mean()
+    counts, sums = _cell_sums(batch)
+    empty = np.argwhere(counts == 0)
+    if empty.size:
+        raise EmptyCellError(f"no trials with settings ({empty[0, 0]}, {empty[0, 1]})")
+    e_hat = sums / counts
     s_hat = e_hat[0, 0] + e_hat[0, 1] + e_hat[1, 0] - e_hat[1, 1]
     return CorrelatorStats(e_hat=e_hat, n=counts, n_min=int(counts.min()), s_hat=float(s_hat))
 
@@ -175,9 +191,10 @@ def single_trial_lcb(batch: TrialBatch, alpha: float) -> FiniteDataCertificate:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    z = 4.0 * ((-1.0) ** (batch.x * batch.y)) * batch.a * batch.b
+    _, sums = _cell_sums(batch)
+    z_sum = 4 * int(sums[0, 0] + sums[0, 1] + sums[1, 0] - sums[1, 1])
     radius = 4.0 * sqrt(2.0 * log(1.0 / alpha) / batch.n_trials)
-    return _certificate(float(z.mean()), radius, alpha, "single_trial")
+    return _certificate(z_sum / batch.n_trials, radius, alpha, "single_trial")
 
 
 def samples_for_onset(s_true: float, alpha: float) -> int:
@@ -194,23 +211,26 @@ def samples_for_onset(s_true: float, alpha: float) -> int:
 
 def batch_to_csv(batch: TrialBatch) -> str:
     """Trial file format: header x,y,a,b and one trial per row."""
-    lines = ["x,y,a,b"]
-    for x, y, a, b in zip(batch.x, batch.y, batch.a, batch.b):
-        lines.append(f"{x},{y},{a},{b}")
-    return "\n".join(lines) + "\n"
+    codes = 8 * batch.x + 4 * batch.y + 2 * (batch.a == 1) + (batch.b == 1)
+    return "x,y,a,b\n" + "\n".join(map(_ROWS.__getitem__, codes.tolist())) + "\n"
 
 
 def batch_from_csv(text: str, source: str = "file") -> TrialBatch:
     lines = [ln for ln in text.strip().splitlines() if ln]
     if not lines or lines[0].replace(" ", "") != "x,y,a,b":
         raise ValueError("trial file must start with header x,y,a,b")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
+    body = lines[1:]
+    if not body:
+        raise ValueError("trial file has a header but no rows")
+    codes = np.array([_ROW_CODES.get(ln, -1) for ln in body], dtype=np.int64)
+    data = _ROW_VALUES[codes]
+    # Other spellings (" +1", "01", ...) go through int() as written; a value
+    # outside int64 is clipped, which leaves it invalid for TrialBatch.
+    for i in np.flatnonzero(codes < 0).tolist():
+        parts = body[i].split(",")
         if len(parts) != 4:
-            raise ValueError(f"malformed trial row: {ln!r}")
-        rows.append([int(p) for p in parts])
-    data = np.asarray(rows, dtype=np.int64)
+            raise ValueError(f"malformed trial row: {body[i]!r}")
+        data[i] = [min(max(int(p), _INT64_MIN), _INT64_MAX) for p in parts]
     return TrialBatch(
         x=data[:, 0], y=data[:, 1], a=data[:, 2], b=data[:, 3], seed=None, source=source
     )

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -80,6 +81,14 @@ def test_certify_argument_errors(capsys, tmp_path):
     assert main(["certify", "--s12", "2.0", "--trials", str(trials)]) == EXIT_INPUT
     assert main(["certify", "--trials", str(tmp_path / "missing.csv")]) == EXIT_INPUT
     capsys.readouterr()
+    for text in ("x,y,a,b\n", "x,y,a,b\n0,0,1,99999999999999999999\n"):
+        trials.write_text(text)
+        for estimator in ("correlator_wise", "single_trial"):
+            argv = ["certify", "--trials", str(trials), "--estimator", estimator]
+            assert main(argv) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("input error: ")
 
 
 def test_simulate_then_certify(tmp_path):
@@ -164,6 +173,33 @@ def test_closed_form_outputs_are_pinned(capsys, argv, golden):
     # closed forms, np.linspace and formatting only, so every digit is stable
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (["--strategy", "werner:0.9", "--n", "100000", "--seed", "7"],
+         "85dfb14874d551f3140ad54e01a68d199dbc72df7fa9946ccc768159b519caf7"),
+        (["--strategy", "bell", "--n", "20000", "--seed", "3"],
+         "7e8ea2808b55aa090b7aaa69acf8827415c07655165fa0d3da45ee12ee8031e2"),
+    ],
+)
+def test_simulate_output_is_pinned(tmp_path, argv, sha256):
+    code, out = run_to_file(tmp_path, "trials.csv", ["simulate", *argv])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("estimator", ["correlator_wise", "single_trial"])
+def test_trial_certificates_are_pinned(capsys, tmp_path, estimator):
+    _, trials = run_to_file(
+        tmp_path, "trials.csv",
+        ["simulate", "--strategy", "werner:0.9", "--n", "100000", "--seed", "7"],
+    )
+    assert main(["certify", "--trials", str(trials), "--estimator", estimator]) == EXIT_OK
+    suffix = "" if estimator == "correlator_wise" else "_single_trial"
+    golden = GOLDEN / f"certify_trials_werner_0.9_n100000_seed7{suffix}.json"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 def test_werner_scan_csv_and_threshold(tmp_path):

@@ -108,6 +108,17 @@ def test_pr_box_anchors():
     assert abs(cap - dist) < 1e-9
 
 
+@pytest.mark.parametrize("v", [0.0, 0.3, 0.5, 0.55, 0.6, 0.75, 0.8, 0.9, 1.0])
+def test_noisy_pr_box_capacity_equals_distance(v):
+    # nonlocal instances between the local case and the PR box; the random
+    # NS corpus draws local behaviors only, so it compares 0 with 0
+    p12 = Behavior(2, (2, 2), (2, 2), v * pr_box().table + (1.0 - v) * uniform_pair().table)
+    prob = ExtensionProblem(authorized=p12, extension_class=NO_SIGNALLING)
+    expected = max(0.0, v - 0.5)
+    assert anticollusion_capacity(prob) == pytest.approx(expected, abs=1e-9)
+    assert shadow_tv_distance(prob) == pytest.approx(expected, abs=1e-9)
+
+
 @pytest.mark.parametrize(
     "name, cls, capacity, distance",
     [

@@ -1,6 +1,7 @@
 """Finite-data confidence certificates: estimators, radii, onset counts, IO."""
 
 import json
+import re
 from math import ceil, log, sqrt
 
 import numpy as np
@@ -198,6 +199,10 @@ def test_csv_round_trip():
     batch = simulate_trials(bell_strategy(), 200, seed=5)
     text = batch_to_csv(batch)
     assert text.startswith("x,y,a,b\n")
+    assert len(set(text.splitlines()[1:])) == 16  # every valid row occurs
+    assert text == "x,y,a,b\n" + "".join(
+        f"{x},{y},{a},{b}\n" for x, y, a, b in zip(batch.x, batch.y, batch.a, batch.b)
+    )
     back = batch_from_csv(text, source="file")
     for field in ("x", "y", "a", "b"):
         assert np.array_equal(getattr(back, field), getattr(batch, field))
@@ -207,6 +212,76 @@ def test_csv_round_trip():
         batch_from_csv("a,b,c,d\n0,0,1,1\n")
     with pytest.raises(ValueError, match="malformed"):
         batch_from_csv("x,y,a,b\n0,0,1\n")
+    with pytest.raises(ValueError, match="no rows"):
+        batch_from_csv("x,y,a,b\n\n")
+    with pytest.raises(ValueError, match="outcomes"):
+        batch_from_csv("x,y,a,b\n0,0,1,99999999999999999999\n")
+    with pytest.raises(ValueError, match="settings"):
+        batch_from_csv("x,y,a,b\n-99999999999999999999,0,1,1\n")
+
+
+@pytest.mark.parametrize(
+    "text, columns",
+    [
+        (" x , y , a , b \n0,0,1,1\n1,1,-1,-1\n", [[0, 1], [0, 1], [1, -1], [1, -1]]),
+        ("x,y,a,b\r\n0,1,1,-1\r\n1,0,-1,1\r\n", [[0, 1], [1, 0], [1, -1], [-1, 1]]),
+        ("\n\nx,y,a,b\n\n0,0,1,1\n\n\n1,1,1,-1\n\n", [[0, 1], [0, 1], [1, 1], [1, -1]]),
+        ("x,y,a,b\n0,0,1,1\n1, 1,-1, +1\n0,1,-1,-1\n",
+         [[0, 1, 0], [0, 1, 1], [1, -1, -1], [1, 1, -1]]),
+        ("x,y,a,b\n01,0,1,-01\n", [[1], [0], [1], [-1]]),
+        ("x,y,a,b\n1,1,-1,-1", [[1], [1], [-1], [-1]]),
+    ],
+)
+def test_csv_parser_accepts_odd_spellings(text, columns):
+    batch = batch_from_csv(text)
+    for field, expected in zip("xyab", columns):
+        assert np.array_equal(getattr(batch, field), np.array(expected, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x,y,a,b\n0,0,1,1\n0,0,1\n", "malformed trial row: '0,0,1'"),
+        ("x,y,a,b\n0,0,1,1,1\n", "malformed trial row: '0,0,1,1,1'"),
+        ("x,y,a,b\na,0,1,1\n", "invalid literal for int() with base 10: 'a'"),
+        ("x,y,a,b\n0,0,1,1\n2,0,1,1\n", "settings must be bits"),
+        ("x,y,a,b\n0,0,0,1\n", "outcomes must be +-1"),
+        ("x,y,a,b\n1_1,0,1,1\n", "settings must be bits"),
+        # every row is parsed before any value is checked
+        ("x,y,a,b\n2,0,1,1\n0,0,a,1\n", "invalid literal for int() with base 10: 'a'"),
+        ("x,y,a,b\n0,0,0,1\n0,2,1,1\n", "settings must be bits"),
+    ],
+)
+def test_csv_parser_rejects_bad_rows(text, message):
+    with pytest.raises(ValueError) as excinfo:
+        batch_from_csv(text)
+    assert str(excinfo.value) == message
+
+
+def test_estimators_match_the_per_cell_reference():
+    # reference: per-cell masks and the mean of Z = 4 (-1)^(x y) a b; all sums
+    # are exact integers, so the count table must give the same floats
+    rng = np.random.default_rng(11)
+    for n in (1, 7, 1000, 54321):
+        cells = rng.choice(16, size=n, p=rng.dirichlet(np.ones(16)))
+        batch = TrialBatch(
+            x=cells >> 3, y=(cells >> 2) & 1, a=2 * ((cells >> 1) & 1) - 1,
+            b=2 * (cells & 1) - 1, seed=None, source="test",
+        )
+        z = 4.0 * ((-1.0) ** (batch.x * batch.y)) * batch.a * batch.b
+        assert single_trial_lcb(batch, 0.05).s_hat == float(z.mean())
+        masks = [[(batch.x == t1) & (batch.y == t2) for t2 in (0, 1)] for t1 in (0, 1)]
+        empty = [(t1, t2) for t1 in (0, 1) for t2 in (0, 1) if not masks[t1][t2].any()]
+        if empty:
+            with pytest.raises(EmptyCellError, match=re.escape(f"settings {empty[0]}")):
+                estimate_correlators(batch)
+            continue
+        prod = batch.a * batch.b
+        e_hat = np.array([[prod[m].mean() for m in row] for row in masks])
+        stats = estimate_correlators(batch)
+        assert np.array_equal(stats.e_hat, e_hat)
+        assert np.array_equal(stats.n, [[m.sum() for m in row] for row in masks])
+        assert stats.s_hat == e_hat[0, 0] + e_hat[0, 1] + e_hat[1, 0] - e_hat[1, 1]
 
 
 def test_certificate_json_fields():
