@@ -5,9 +5,9 @@ Subpackages by concern:
 - ``qkernel``: dense complex linear algebra for 2- and 3-qubit states and
   binary observables, CHSH scores, Born-rule behaviors.
 - ``behaviors``: finite-alphabet conditional behaviors, no-signalling checks,
-  hidden-variable models, copied-seed extensions, TV distance, game scores.
-- ``frontier``: exact analytic anti-collusion frontier, Werner scan,
-  near-boundary bounds, the 4-step certification protocol.
+  hidden-variable models, copied-seed extensions, game scores.
+- ``frontier``: exact analytic anti-collusion frontier, Werner scan, the
+  4-step certification protocol.
 - ``finitedata``: trial simulation, correlator estimation, Hoeffding lower
   confidence bounds and confidence-bounded certificates.
 - ``extlp``: extension-polytope linear programs on binary alphabets,

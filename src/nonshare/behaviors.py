@@ -56,12 +56,22 @@ class LhvModel:
     def __post_init__(self) -> None:
         weights = np.asarray(self.weights, dtype=float)
         responses = tuple(np.asarray(r, dtype=float) for r in self.responses)
-        if weights.ndim != 1 or weights.min() < 0 or abs(weights.sum() - 1.0) > NORMALIZATION_TOL:
+        # NaN fails every comparison, so each table is checked for it first
+        if (
+            weights.ndim != 1
+            or not np.isfinite(weights).all()
+            or weights.min() < 0
+            or abs(weights.sum() - 1.0) > NORMALIZATION_TOL
+        ):
             raise ValueError("weights must be a probability vector")
         for resp in responses:
             if resp.ndim != 3 or resp.shape[0] != weights.size:
                 raise ValueError("response table shape must be (n_lambda, inputs, outputs)")
-            if resp.min() < 0 or np.max(np.abs(resp.sum(axis=2) - 1.0)) > NORMALIZATION_TOL:
+            if (
+                not np.isfinite(resp).all()
+                or resp.min() < 0
+                or np.max(np.abs(resp.sum(axis=2) - 1.0)) > NORMALIZATION_TOL
+            ):
                 raise ValueError("each response row must be a probability vector")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "responses", responses)
@@ -73,31 +83,18 @@ class LhvModel:
 
 @dataclass(frozen=True)
 class GameKernel:
-    """Scoring kernel h(x-tuple, t-tuple) in [0, 1] with an input distribution.
+    """Scoring kernel h(x-tuple, t-tuple) in [0, 1] under uniform inputs.
 
     ``values`` is indexed like a behavior table, (joint input, joint output).
-    ``pi`` is a distribution over joint inputs; None means uniform.
     """
 
     values: np.ndarray
-    pi: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
         if values.min() < 0.0 or values.max() > 1.0:
             raise ValueError("kernel values must lie in [0, 1]")
         object.__setattr__(self, "values", values)
-        if self.pi is not None:
-            pi = np.asarray(self.pi, dtype=float)
-            if pi.min() < 0 or abs(pi.sum() - 1.0) > NORMALIZATION_TOL:
-                raise ValueError("input distribution must be a probability vector")
-            object.__setattr__(self, "pi", pi)
-
-    def input_distribution(self, n_input_axes: int) -> np.ndarray:
-        if self.pi is not None:
-            return self.pi
-        shape = self.values.shape[:n_input_axes]
-        return np.full(shape, 1.0 / float(np.prod(shape)))
 
 
 def _collapse(p: Behavior, kept: tuple[int, ...]) -> tuple[np.ndarray, float]:
@@ -144,13 +141,13 @@ class NoSignallingReport:
     passed: bool
 
 
-def check_no_signalling(p: Behavior, tol: float = NO_SIGNALLING_TOL) -> NoSignallingReport:
+def check_no_signalling(p: Behavior) -> NoSignallingReport:
     """Largest marginal discrepancy over retained subsets and dropped inputs."""
     worst = 0.0
     for size in range(1, p.n_parties):
         for kept in combinations(range(1, p.n_parties + 1), size):
             worst = max(worst, _collapse(p, kept)[1])
-    return NoSignallingReport(max_residual=worst, passed=worst <= tol)
+    return NoSignallingReport(max_residual=worst, passed=worst <= NO_SIGNALLING_TOL)
 
 
 def relabel_13_to_12(p13: Behavior, reference: Behavior | None = None) -> Behavior:
@@ -175,39 +172,20 @@ def relabel_13_to_12(p13: Behavior, reference: Behavior | None = None) -> Behavi
     )
 
 
-def _require_same_alphabets(p: Behavior, q: Behavior) -> None:
-    if p.inputs_per_party != q.inputs_per_party or p.outputs_per_party != q.outputs_per_party:
-        raise ValueError("behaviors live on different alphabets")
-
-
-def tv_distance(p: Behavior, q: Behavior, pi: np.ndarray | None = None) -> float:
-    """Input-averaged total variation sum_t pi(t) (1/2) sum_x |P - Q|.
-
-    Equals sup over kernels 0 <= h <= 1 of <h, P - Q> under the same input
-    distribution; pi defaults to uniform.
-    """
-    _require_same_alphabets(p, q)
-    if pi is None:
-        pi = np.full(p.inputs_per_party, 1.0 / p.n_inputs)
-    diff = np.abs(p.table - q.table).reshape(p.n_inputs, -1).sum(axis=1)
-    return float(pi.reshape(-1) @ diff) / 2.0
-
-
 def game_score(p: Behavior, g: GameKernel) -> float:
-    """Expected score sum_t pi(t) sum_x h(x, t) P(x | t)."""
+    """Expected score sum_t pi(t) sum_x h(x, t) P(x | t), pi uniform."""
     if g.values.shape != p.table.shape:
         raise ValueError("kernel alphabets do not match the behavior")
-    pi = g.input_distribution(p.n_parties)
     cell = (g.values * p.table).reshape(p.n_inputs, -1).sum(axis=1)
-    return float(pi.reshape(-1) @ cell)
+    return float(np.full(p.n_inputs, 1.0 / p.n_inputs) @ cell)
 
 
-def chsh_kernel(pi: np.ndarray | None = None) -> GameKernel:
+def chsh_kernel() -> GameKernel:
     """Predicate kernel for the game x1 xor x2 = t1 t2 on binary alphabets."""
     values = np.zeros((2, 2, 2, 2))
     for t1, t2, x1, x2 in np.ndindex(2, 2, 2, 2):
         values[t1, t2, x1, x2] = 1.0 if (x1 ^ x2) == (t1 & t2) else 0.0
-    return GameKernel(values=values, pi=pi)
+    return GameKernel(values=values)
 
 
 def lhv_behavior(model: LhvModel) -> Behavior:
@@ -241,11 +219,6 @@ def copied_seed_extension(model: LhvModel, p3: np.ndarray) -> Behavior:
     """
     if model.n_parties != 2:
         raise ValueError("copied-seed extension starts from a 2-party model")
-    p3 = np.asarray(p3, dtype=float)
-    if p3.ndim != 3 or p3.shape[0] != model.weights.size:
-        raise ValueError("third-party response table shape must be (n_lambda, inputs, outputs)")
-    if p3.min() < 0 or np.max(np.abs(p3.sum(axis=2) - 1.0)) > NORMALIZATION_TOL:
-        raise ValueError("each third-party response row must be a probability vector")
     extended = LhvModel(weights=model.weights, responses=model.responses + (p3,))
     return lhv_behavior(extended)
 
@@ -288,14 +261,6 @@ def behavior_to_json(p: Behavior) -> dict:
         "outputs": list(p.outputs_per_party),
         "table": [float(v) for v in p.table.reshape(-1)],
     }
-
-
-def behavior_from_json(data: dict) -> Behavior:
-    inputs = tuple(int(v) for v in data["inputs"])
-    outputs = tuple(int(v) for v in data["outputs"])
-    shape = inputs + outputs
-    table = np.asarray(data["table"], dtype=float).reshape(shape)
-    return Behavior(int(data["parties"]), inputs, outputs, table)
 
 
 def lhv_model_to_json(model: LhvModel) -> dict:

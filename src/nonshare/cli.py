@@ -37,41 +37,29 @@ def _write_output(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
+def _write_table(
+    columns: tuple[str, ...], rows: list[tuple[float, ...]], fmt: str, out: str | None
+) -> None:
+    """A float table as a JSON list of objects, or as CSV at 9 significant digits."""
+    if fmt == "json":
+        text = json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
+    else:
+        lines = [",".join(columns)] + [",".join(f"{v:.9g}" for v in row) for row in rows]
+        text = "\n".join(lines) + "\n"
+    _write_output(text, out)
 
 
 def cmd_frontier(args: argparse.Namespace) -> int:
-    s_max_default = frontier.TSIRELSON
     s_min = args.s_min
-    s_max = args.s_max if args.s_max is not None else s_max_default
+    s_max = args.s_max if args.s_max is not None else frontier.TSIRELSON
     if not (0.0 <= s_min < s_max <= frontier.TSIRELSON + 1e-12) or args.points < 2:
         raise ValueError("frontier range must satisfy 0 <= s-min < s-max <= 2*sqrt(2)")
-    grid = np.linspace(s_min, s_max, args.points)
     rows = []
-    for s in grid:
-        rec = frontier.certify(float(s))
-        rows.append(
-            {
-                "s": float(s),
-                "s13_max": rec.s13_max,
-                "omega12": frontier.omega_from_s(float(s)),
-                "omega13_max": rec.omega13_max,
-                "gamma_plus": rec.gamma_plus,
-            }
-        )
-    if args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        lines = ["s,s13_max,omega12,omega13_max,gamma_plus"]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    _fmt(r[k]) for k in ("s", "s13_max", "omega12", "omega13_max", "gamma_plus")
-                )
-            )
-        text = "\n".join(lines) + "\n"
-    _write_output(text, args.out)
+    for s in map(float, np.linspace(s_min, s_max, args.points)):
+        rec = frontier.certify(s)
+        rows.append((s, rec.s13_max, frontier.omega_from_s(s), rec.omega13_max, rec.gamma_plus))
+    columns = ("s", "s13_max", "omega12", "omega13_max", "gamma_plus")
+    _write_table(columns, rows, args.format, args.out)
     return EXIT_OK
 
 
@@ -91,7 +79,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         _write_output(json.dumps(payload, indent=2) + "\n", args.out)
         return EXIT_OK
     with open(args.trials, "r", encoding="utf-8") as fh:
-        batch = finitedata.batch_from_csv(fh.read(), source=args.trials)
+        batch = finitedata.batch_from_csv(fh.read())
     if args.estimator == "single_trial":
         cert = finitedata.single_trial_lcb(batch, args.alpha)
     else:
@@ -125,26 +113,8 @@ def cmd_werner(args: argparse.Namespace) -> int:
     if args.points < 2:
         raise ValueError("werner scan needs at least 2 points")
     records = frontier.werner_scan([float(v) for v in np.linspace(0.0, 1.0, args.points)])
-    if args.format == "json":
-        rows = [
-            {
-                "eta": r.eta,
-                "s12": r.s12,
-                "a12": r.a12,
-                "c13_max_bound": r.c13_max_bound,
-                "gap": r.gap,
-            }
-            for r in records
-        ]
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        lines = ["eta,s12,a12,c13_max_bound,gap"]
-        for r in records:
-            lines.append(
-                ",".join(_fmt(v) for v in (r.eta, r.s12, r.a12, r.c13_max_bound, r.gap))
-            )
-        text = "\n".join(lines) + "\n"
-    _write_output(text, args.out)
+    rows = [(r.eta, r.s12, r.a12, r.c13_max_bound, r.gap) for r in records]
+    _write_table(("eta", "s12", "a12", "c13_max_bound", "gap"), rows, args.format, args.out)
     return EXIT_OK
 
 
@@ -163,20 +133,28 @@ def cmd_npa_scan(args: argparse.Namespace) -> int:
         max_iters=args.max_iters,
     )
     _write_output(npa.scan_to_csv(rows), args.out)
-    if any(a == 0.0 for a in alphas):
-        devs = npa.alpha0_deviations(rows)
-        max_dev = max(devs) if devs else float("nan")
-        n_cert = sum(1 for r in rows if r.alpha == 0.0 and r.certified)
-        n_all = sum(1 for r in rows if r.alpha == 0.0)
+    report = npa.alpha0_report(rows)
+    mask = report.certified_mask
+    if mask:
         print(
-            f"alpha=0 sanity: certified {n_cert}/{n_all}, "
-            f"max deviation from sqrt(8-s^2) = {max_dev:.3e}",
+            f"alpha=0 sanity: certified {sum(mask)}/{len(mask)}, "
+            f"max deviation from sqrt(8-s^2) = {report.max_dev:.3e}",
             file=sys.stderr,
         )
-        if devs and max_dev > ALPHA0_DEVIATION_TOL:
+        # NaN (no certified row) compares False
+        if report.max_dev > ALPHA0_DEVIATION_TOL:
             print("alpha=0 sanity FAILED (deviation above 1e-3)", file=sys.stderr)
             return EXIT_VERIFY
     return EXIT_OK
+
+
+def _copied_seed_scores(model: behaviors.LhvModel) -> tuple[float, float]:
+    """CHSH scores of the model's pair and of a colluder copying party 2's rule."""
+    kernel = behaviors.chsh_kernel()
+    p12 = behaviors.lhv_behavior(model)
+    p123 = behaviors.copied_seed_extension(model, model.responses[1])
+    p13 = behaviors.relabel_13_to_12(behaviors.marginal(p123, (1, 3)), reference=p12)
+    return behaviors.game_score(p12, kernel), behaviors.game_score(p13, kernel)
 
 
 def cmd_verify_distance(args: argparse.Namespace) -> int:
@@ -190,15 +168,11 @@ def cmd_verify_distance(args: argparse.Namespace) -> int:
         rec = extlp.verification_record(p12, extlp.NO_SIGNALLING)
         records.append(rec)
         max_disc = max(max_disc, rec["discrepancy"])
-    kernel = behaviors.chsh_kernel()
     witness_models = 10
     witness_exact = True
     for _ in range(witness_models):
-        model = extlp.random_lhv_model(rng)
-        p12 = behaviors.lhv_behavior(model)
-        p123 = behaviors.copied_seed_extension(model, model.responses[1])
-        p13 = behaviors.relabel_13_to_12(behaviors.marginal(p123, (1, 3)), reference=p12)
-        if behaviors.game_score(p13, kernel) != behaviors.game_score(p12, kernel):
+        a12, c13 = _copied_seed_scores(extlp.random_lhv_model(rng))
+        if c13 != a12:
             witness_exact = False
     summary = {
         "summary": True,
@@ -245,11 +219,7 @@ def cmd_game_separation(args: argparse.Namespace) -> int:
     )
 
     def classical_block(model: behaviors.LhvModel) -> dict:
-        p12 = behaviors.lhv_behavior(model)
-        a12 = behaviors.game_score(p12, kernel)
-        p123 = behaviors.copied_seed_extension(model, model.responses[1])
-        p13 = behaviors.relabel_13_to_12(behaviors.marginal(p123, (1, 3)), reference=p12)
-        c13 = behaviors.game_score(p13, kernel)
+        a12, c13 = _copied_seed_scores(model)
         return {
             "a12": a12,
             "v13": c13,

@@ -25,7 +25,6 @@ from .behaviors import (
     behavior_to_json,
     check_no_signalling,
     deterministic_behaviors,
-    game_score,
     pr_box,
 )
 
@@ -164,9 +163,8 @@ def collusive_vulnerability(prob: ExtensionProblem, kernel: GameKernel) -> float
     o1, o2 = prob.authorized.outputs_per_party
     if kernel.values.shape != (i1, i2, o1, o2):
         raise ValueError("kernel must live on the relabelled (1,3) pair alphabets")
-    pi = kernel.input_distribution(2)
-    cell_weight = pi[:, :, None, None] * kernel.values
-    c = cell_weight.reshape(-1) @ prob.pair13
+    # uniform inputs; i1 * i2 is a power of 2, so the division is exact
+    c = (kernel.values / (i1 * i2)).reshape(-1) @ prob.pair13
     return -_lp_minimum(-c, a_eq=prob.a_eq, b_eq=prob.b_eq)
 
 
@@ -215,19 +213,6 @@ def anticollusion_capacity(prob: ExtensionProblem) -> float:
     return max(0.0, -_lp_minimum(-c, a_ub, np.zeros(n_ext), bounds=bounds))
 
 
-def anti_collusion_power(
-    p12: Behavior,
-    kernel_a: GameKernel,
-    kernel_c: GameKernel,
-    extension_class: ExtensionClass,
-) -> float:
-    """Positive part of authorized score minus collusive vulnerability."""
-    prob = ExtensionProblem(authorized=p12, extension_class=extension_class)
-    a12 = game_score(p12, kernel_a)
-    v13 = collusive_vulnerability(prob, kernel_c)
-    return max(0.0, a12 - v13)
-
-
 def random_ns_behavior(rng: np.random.Generator) -> Behavior:
     """Dirichlet mixture of the 24 binary no-signalling extreme points."""
     tables = list(deterministic_behaviors((2, 2), (2, 2)))
@@ -237,21 +222,19 @@ def random_ns_behavior(rng: np.random.Generator) -> Behavior:
     return Behavior(2, (2, 2), (2, 2), mix)
 
 
-def random_lhv_model(
-    rng: np.random.Generator, n_lambda: int = 4, resolution_bits: int = 8
-) -> LhvModel:
-    """Random 2-party model with dyadic weights and response rows.
+def random_lhv_model(rng: np.random.Generator) -> LhvModel:
+    """Random 2-party model on 4 hidden states with dyadic weights and responses.
 
-    Every probability is a multiple of 2**-resolution_bits, so downstream
-    products of up to three factors stay exact in double precision; the
-    copied-seed equality C13 = A12 then holds bit for bit.
+    Every probability is a multiple of 1/256, so downstream products of up
+    to three factors stay exact in double precision; the copied-seed
+    equality C13 = A12 then holds bit for bit.
     """
-    denom = 2**resolution_bits
-    counts = rng.multinomial(denom, rng.dirichlet(np.ones(n_lambda)))
+    denom = 256
+    counts = rng.multinomial(denom, rng.dirichlet(np.ones(4)))
     weights = counts / float(denom)
     responses = []
     for _ in range(2):
-        k = rng.integers(0, denom + 1, size=(n_lambda, 2))
+        k = rng.integers(0, denom + 1, size=(4, 2))
         resp = np.stack([k / float(denom), 1.0 - k / float(denom)], axis=2)
         responses.append(resp)
     return LhvModel(weights=weights, responses=tuple(responses))

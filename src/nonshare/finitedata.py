@@ -21,7 +21,6 @@ from .behaviors import Behavior, LhvModel, lhv_behavior
 from .frontier import TSIRELSON, gamma_plus
 from .qkernel import QuantumStrategy, born_behavior
 
-GENERATOR_ID = "numpy-PCG64"
 ASSUMPTIONS = "iid,uniform-settings"
 
 # The 16 valid trial rows as batch_to_csv writes them, indexed by 8x + 4y + 2[a=+1] + [b=+1].
@@ -46,9 +45,6 @@ class TrialBatch:
     y: np.ndarray
     a: np.ndarray  # outcomes in {-1, +1}
     b: np.ndarray
-    seed: int | None
-    source: str
-    generator: str = GENERATOR_ID
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=np.int64)
@@ -100,20 +96,18 @@ def simulate_trials(strategy: QuantumStrategy | LhvModel, n: int, seed: int) -> 
         raise ValueError("need at least one trial")
     if isinstance(strategy, QuantumStrategy):
         behavior = born_behavior(strategy)
-        source = "quantum-strategy"
     elif isinstance(strategy, LhvModel):
         behavior = lhv_behavior(strategy)
-        source = "lhv-model"
     else:
         raise ValueError("strategy must be a QuantumStrategy or LhvModel")
     if behavior.n_parties != 2:
         raise ValueError("trial simulation expects a 2-party strategy")
     if behavior.inputs_per_party != (2, 2) or behavior.outputs_per_party != (2, 2):
         raise ValueError("trial simulation expects 2 inputs and 2 outputs per party")
-    return sample_behavior_trials(behavior, n, seed, source)
+    return sample_behavior_trials(behavior, n, seed)
 
 
-def sample_behavior_trials(behavior: Behavior, n: int, seed: int, source: str) -> TrialBatch:
+def sample_behavior_trials(behavior: Behavior, n: int, seed: int) -> TrialBatch:
     rng = np.random.default_rng(seed)
     x = rng.integers(0, 2, size=n)
     y = rng.integers(0, 2, size=n)
@@ -127,7 +121,7 @@ def sample_behavior_trials(behavior: Behavior, n: int, seed: int, source: str) -
             idx = np.searchsorted(cdf, joint[mask], side="right").clip(max=3)
             a[mask] = 1 - 2 * (idx >> 1)  # label 0 -> +1
             b[mask] = 1 - 2 * (idx & 1)
-    return TrialBatch(x=x, y=y, a=a, b=b, seed=seed, source=source)
+    return TrialBatch(x=x, y=y, a=a, b=b)
 
 
 def _cell_sums(batch: TrialBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -215,7 +209,7 @@ def batch_to_csv(batch: TrialBatch) -> str:
     return "x,y,a,b\n" + "\n".join(map(_ROWS.__getitem__, codes.tolist())) + "\n"
 
 
-def batch_from_csv(text: str, source: str = "file") -> TrialBatch:
+def batch_from_csv(text: str) -> TrialBatch:
     lines = [ln for ln in text.strip().splitlines() if ln]
     if not lines or lines[0].replace(" ", "") != "x,y,a,b":
         raise ValueError("trial file must start with header x,y,a,b")
@@ -231,9 +225,7 @@ def batch_from_csv(text: str, source: str = "file") -> TrialBatch:
         if len(parts) != 4:
             raise ValueError(f"malformed trial row: {body[i]!r}")
         data[i] = [min(max(int(p), _INT64_MIN), _INT64_MAX) for p in parts]
-    return TrialBatch(
-        x=data[:, 0], y=data[:, 1], a=data[:, 2], b=data[:, 3], seed=None, source=source
-    )
+    return TrialBatch(x=data[:, 0], y=data[:, 1], a=data[:, 2], b=data[:, 3])
 
 
 def certificate_to_json(cert: FiniteDataCertificate) -> str:

@@ -65,18 +65,6 @@ def omega_from_s(s: float) -> float:
     return 0.5 + s / 8.0
 
 
-def near_tsirelson_bound(delta: float) -> tuple[float, float]:
-    """Bounds on the colluder score at distance delta below the boundary.
-
-    Returns (exact, loose) with exact = sqrt(4 sqrt(2) delta - delta^2) and
-    loose = 2^(5/4) sqrt(delta); exact <= loose, with equality only at 0.
-    """
-    _check_range(delta, 0.0, TSIRELSON, "delta")
-    exact = s13_max(TSIRELSON - delta)
-    loose = 2.0 ** 1.25 * sqrt(delta)
-    return exact, loose
-
-
 def certify(s12: float) -> CertificateRecord:
     """Run the score certification protocol on a signed CHSH score.
 
@@ -113,22 +101,3 @@ def werner_scan(eta_grid: list[float]) -> list[WernerRecord]:
             WernerRecord(eta=eta, s12=s12, a12=a12, c13_max_bound=c13, gap=werner_gap(eta))
         )
     return records
-
-
-def robust_decoupling_bound(eps: float) -> float:
-    """Trace-distance decoupling constant (2 sqrt(2) + 2) sqrt(eps)."""
-    _check_range(eps, 0.0, 1.0, "eps")
-    return (TSIRELSON + 2.0) * sqrt(eps)
-
-
-def gentle_bound(alpha: float) -> float:
-    """Gentle-projection disturbance bound 2 sqrt(alpha) + alpha."""
-    _check_range(alpha, 0.0, 1.0, "alpha")
-    return 2.0 * sqrt(alpha) + alpha
-
-
-def payoff_norm_bound(lam: float, trace_dist: float) -> float:
-    """Payoff shift bound (1 + lambda) * trace_dist for bounded game payoffs."""
-    if lam < 0.0 or trace_dist < 0.0:
-        raise ValueError("lambda and trace distance must be nonnegative")
-    return (1.0 + lam) * trace_dist

@@ -471,13 +471,12 @@ def scan(
     eps_abs: float = DEFAULT_EPS_ABS,
     eps_rel: float = DEFAULT_EPS_REL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    structure: MomentStructure | None = None,
 ) -> list[ScanRow]:
     """Per-tilt threshold grids from the classical bound to the quantum
     maximum, inclusive, each point solved and flagged."""
     if grid_points < 2:
         raise ValueError("grid needs at least 2 points")
-    structure = structure if structure is not None else build_structure()
+    structure = build_structure()
     rows: list[ScanRow] = []
     for alpha in alphas:
         grid = np.linspace(classical_bound(alpha), quantum_maximum(alpha), grid_points)
@@ -500,17 +499,22 @@ def scan(
     return rows
 
 
-def alpha0_deviations(rows: list[ScanRow]) -> list[float]:
-    """|primal - sqrt(8 - s^2)| for each certified untilted row, in order."""
-    return [abs(row.primal - s13_max(row.s)) for row in rows if row.alpha == 0.0 and row.certified]
-
-
 @dataclass(frozen=True)
 class SanityReport:
-    max_dev: float
-    mean_dev: float
+    """Untilted scan rows against the closed form sqrt(8 - s^2)."""
+
+    max_dev: float  # over the certified rows; NaN if none certifies
     certified_mask: tuple[bool, ...]
-    rows: tuple[ScanRow, ...]
+
+
+def alpha0_report(rows: list[ScanRow]) -> SanityReport:
+    """Largest |primal - sqrt(8 - s^2)| over the certified untilted rows."""
+    untilted = [row for row in rows if row.alpha == 0.0]
+    devs = [abs(row.primal - s13_max(row.s)) for row in untilted if row.certified]
+    return SanityReport(
+        max_dev=max(devs) if devs else float("nan"),
+        certified_mask=tuple(row.certified for row in untilted),
+    )
 
 
 def alpha0_sanity(
@@ -521,13 +525,8 @@ def alpha0_sanity(
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> SanityReport:
     """Deviation of certified untilted bounds from sqrt(8 - s^2)."""
-    rows = scan([0.0], grid_points, eps_abs=eps_abs, eps_rel=eps_rel, max_iters=max_iters)
-    devs = alpha0_deviations(rows)
-    return SanityReport(
-        max_dev=max(devs) if devs else float("nan"),
-        mean_dev=float(np.mean(devs)) if devs else float("nan"),
-        certified_mask=tuple(row.certified for row in rows),
-        rows=tuple(rows),
+    return alpha0_report(
+        scan([0.0], grid_points, eps_abs=eps_abs, eps_rel=eps_rel, max_iters=max_iters)
     )
 
 

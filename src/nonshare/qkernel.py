@@ -10,7 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import cos, sin
 
 import numpy as np
@@ -75,29 +75,26 @@ class DensityOp:
 
 @dataclass(frozen=True)
 class QuantumStrategy:
-    """State shared by n parties plus one pair of binary observables per party."""
+    """Qubit state shared by n parties plus one pair of binary observables per party."""
 
     state: Ket | DensityOp
     observables: tuple[tuple[np.ndarray, np.ndarray], ...]
-    party_dims: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        dims = self.party_dims or tuple(2 for _ in self.observables)
         obs = tuple(
             (np.asarray(o0, dtype=complex), np.asarray(o1, dtype=complex))
             for o0, o1 in self.observables
         )
         object.__setattr__(self, "observables", obs)
-        object.__setattr__(self, "party_dims", dims)
-        if int(np.prod(dims)) != self.state.dim:
-            raise ValueError("party dimensions do not multiply to the state dimension")
-        for d, (o0, o1) in zip(dims, obs):
-            if o0.shape != (d, d) or o1.shape != (d, d):
-                raise ValueError("observable dimension does not match its party")
+        if 2 ** len(obs) != self.state.dim:
+            raise ValueError("state dimension is not 2 ** (number of parties)")
+        for o0, o1 in obs:
+            if o0.shape != (2, 2) or o1.shape != (2, 2):
+                raise ValueError("observables must be 2x2 qubit operators")
 
     @property
     def n_parties(self) -> int:
-        return len(self.party_dims)
+        return len(self.observables)
 
 
 def expectation(state: Ket | DensityOp, obs: np.ndarray) -> float:
@@ -209,7 +206,7 @@ def chsh_score(
     return corr[0][0] + corr[0][1] + corr[1][0] - corr[1][1]
 
 
-def born_behavior(strategy: QuantumStrategy, n_settings: int = 2, n_outcomes: int = 2):
+def born_behavior(strategy: QuantumStrategy):
     """Conditional behavior induced by the strategy under the Born rule.
 
     Only binary projective observables are supported: outcomes +-1 map to
@@ -218,8 +215,6 @@ def born_behavior(strategy: QuantumStrategy, n_settings: int = 2, n_outcomes: in
     """
     from .behaviors import Behavior
 
-    if n_settings != 2 or n_outcomes != 2:
-        raise ValueError("only binary settings and outcomes are supported")
     n = strategy.n_parties
     state = strategy.state if isinstance(strategy.state, DensityOp) else strategy.state.density()
     projectors: list[list[list[np.ndarray]]] = []
@@ -253,11 +248,3 @@ def werner_strategy(eta: float) -> QuantumStrategy:
     """Werner-noise strategy with the Bell-optimal settings; score 2 sqrt(2) eta."""
     a0, a1, b0, b1 = bell_settings()
     return QuantumStrategy(state=werner_state(eta), observables=((a0, a1), (b0, b1)))
-
-
-def tightness_strategy(theta: float) -> QuantumStrategy:
-    """Three-party strategy realizing the quarter-circle score pair."""
-    a0, a1, o0, o1 = pair_settings()
-    return QuantumStrategy(
-        state=tightness_state(theta), observables=((a0, a1), (o0, o1), (o0, o1))
-    )

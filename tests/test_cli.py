@@ -149,7 +149,17 @@ def test_simulate_strategy_errors(capsys, tmp_path):
         "weights": [1.0],
         "responses": [[[[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]], [[[1.0, 0.0], [0.0, 1.0]]]],
     }
-    for payload in ({"weights": [1.0]}, [1, 2], three_outcomes, three_inputs):
+    # json reads NaN, which fails every comparison in the probability checks
+    nan_rule = {
+        "weights": [float("nan")],
+        "responses": [[[[1.0, 0.0], [1.0, 0.0]]], [[[float("nan"), 0.0], [1.0, 0.0]]]],
+    }
+    nan_weight = {
+        "weights": [0.5, float("nan")],
+        "responses": [[[[1.0, 0.0], [1.0, 0.0]]] * 2, [[[1.0, 0.0], [1.0, 0.0]]] * 2],
+    }
+    payloads = ({"weights": [1.0]}, [1, 2], three_outcomes, three_inputs, nan_rule, nan_weight)
+    for payload in payloads:
         malformed.write_text(json.dumps(payload))
         assert main(["simulate", "--strategy", f"lhv:{malformed}", "--n", "10"]) == EXIT_INPUT
         captured = capsys.readouterr()
@@ -167,10 +177,13 @@ GOLDEN = Path(__file__).parent / "golden"
         (["frontier", "--format", "json", "--points", "20"], "frontier_20.json"),
         (["werner", "--points", "50"], "werner_50.csv"),
         (["certify", "--s12", "2.5"], "certify_s12_2.5.json"),
+        (["werner", "--format", "json", "--points", "20"], "werner_20.json"),
+        (["game-separation"], "game_separation.json"),
     ],
 )
 def test_closed_form_outputs_are_pinned(capsys, argv, golden):
-    # closed forms, np.linspace and formatting only, so every digit is stable
+    # closed forms, fixed 4x4 qubit products, np.linspace and formatting
+    # only, so every digit is stable
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
 

@@ -23,7 +23,6 @@ from nonshare.extlp import (
     ExtensionProblem,
     LpInfeasibleError,
     LpUnboundedError,
-    anti_collusion_power,
     anticollusion_capacity,
     collusive_vulnerability,
     corpus_to_jsonl,
@@ -92,7 +91,6 @@ def test_best_classical_point_is_fully_shareable():
         assert collusive_vulnerability(prob, kernel) == pytest.approx(0.75, abs=1e-9)
         assert anticollusion_capacity(prob) == pytest.approx(0.0, abs=1e-9)
         assert shadow_tv_distance(prob) == pytest.approx(0.0, abs=1e-9)
-    assert anti_collusion_power(p12, kernel, kernel, CLASSICAL) == 0.0
 
 
 def test_pr_box_anchors():
@@ -209,7 +207,7 @@ def test_collusive_vulnerability_kernel_shape_guard():
 
 def test_random_lhv_model_is_dyadic():
     rng = np.random.default_rng(5)
-    model = random_lhv_model(rng, n_lambda=4, resolution_bits=8)
+    model = random_lhv_model(rng)
     assert np.array_equal(model.weights * 256, np.round(model.weights * 256))
     for resp in model.responses:
         assert np.array_equal(resp * 256, np.round(resp * 256))

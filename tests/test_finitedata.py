@@ -10,7 +10,6 @@ import pytest
 from nonshare import __version__
 from nonshare.finitedata import (
     ASSUMPTIONS,
-    GENERATOR_ID,
     CorrelatorStats,
     EmptyCellError,
     TrialBatch,
@@ -27,7 +26,13 @@ from nonshare.finitedata import (
 )
 from nonshare.frontier import GAMMA_MAX, TSIRELSON, gamma_plus
 from nonshare.behaviors import LhvModel
-from nonshare.qkernel import bell_strategy, tightness_strategy, werner_strategy
+from nonshare.qkernel import (
+    QuantumStrategy,
+    bell_strategy,
+    pair_settings,
+    tightness_state,
+    werner_strategy,
+)
 
 
 def exact_count_batch(e_cells: dict[tuple[int, int], float], per_cell: int) -> TrialBatch:
@@ -39,33 +44,27 @@ def exact_count_batch(e_cells: dict[tuple[int, int], float], per_cell: int) -> T
         ys.extend([t2] * per_cell)
         as_.extend([1] * per_cell)
         bs.extend([1] * n_plus + [-1] * (per_cell - n_plus))
-    return TrialBatch(
-        x=np.array(xs), y=np.array(ys), a=np.array(as_), b=np.array(bs),
-        seed=None, source="synthetic",
-    )
+    return TrialBatch(x=np.array(xs), y=np.array(ys), a=np.array(as_), b=np.array(bs))
 
 
 def test_trial_batch_validation():
     ok = TrialBatch(
-        x=np.array([0, 1]), y=np.array([1, 0]), a=np.array([1, -1]),
-        b=np.array([-1, 1]), seed=3, source="test",
+        x=np.array([0, 1]), y=np.array([1, 0]), a=np.array([1, -1]), b=np.array([-1, 1])
     )
     assert ok.n_trials == 2
-    assert ok.generator == GENERATOR_ID
     assert not ok.x.flags.writeable
     with pytest.raises(ValueError):
         TrialBatch(x=np.array([0]), y=np.array([0, 1]), a=np.array([1]),
-                   b=np.array([1]), seed=None, source="test")
+                   b=np.array([1]))
     with pytest.raises(ValueError):
         TrialBatch(x=np.array([2]), y=np.array([0]), a=np.array([1]),
-                   b=np.array([1]), seed=None, source="test")
+                   b=np.array([1]))
     with pytest.raises(ValueError):
         TrialBatch(x=np.array([0]), y=np.array([0]), a=np.array([0]),
-                   b=np.array([1]), seed=None, source="test")
+                   b=np.array([1]))
     with pytest.raises(ValueError):
         TrialBatch(x=np.array([], dtype=int), y=np.array([], dtype=int),
-                   a=np.array([], dtype=int), b=np.array([], dtype=int),
-                   seed=None, source="test")
+                   a=np.array([], dtype=int), b=np.array([], dtype=int))
 
 
 def test_simulate_trials_deterministic_and_tagged():
@@ -73,16 +72,18 @@ def test_simulate_trials_deterministic_and_tagged():
     batch2 = simulate_trials(bell_strategy(), 500, seed=9)
     assert np.array_equal(batch1.x, batch2.x)
     assert np.array_equal(batch1.a, batch2.a)
-    assert batch1.source == "quantum-strategy"
-    assert batch1.seed == 9
     other = simulate_trials(bell_strategy(), 500, seed=10)
     assert not np.array_equal(other.a, batch1.a)
     resp = np.zeros((1, 2, 2))
     resp[0, :, 0] = 1.0
     model = LhvModel(weights=np.array([1.0]), responses=(resp, resp))
-    assert simulate_trials(model, 10, seed=0).source == "lhv-model"
+    assert np.array_equal(simulate_trials(model, 10, seed=0).a, np.ones(10))
+    a0, a1, o0, o1 = pair_settings()
+    three_party = QuantumStrategy(
+        state=tightness_state(0.4), observables=((a0, a1), (o0, o1), (o0, o1))
+    )
     with pytest.raises(ValueError):
-        simulate_trials(tightness_strategy(0.4), 10, seed=0)  # 3 parties
+        simulate_trials(three_party, 10, seed=0)
     with pytest.raises(ValueError):
         simulate_trials(bell_strategy(), 0, seed=0)
     with pytest.raises(ValueError):
@@ -104,7 +105,7 @@ def test_estimate_correlators_exact_counts():
 def test_estimate_refuses_empty_cell():
     batch = TrialBatch(
         x=np.zeros(8, dtype=int), y=np.zeros(8, dtype=int),
-        a=np.ones(8, dtype=int), b=np.ones(8, dtype=int), seed=None, source="test",
+        a=np.ones(8, dtype=int), b=np.ones(8, dtype=int),
     )
     with pytest.raises(EmptyCellError, match=r"\(0, 1\)"):
         estimate_correlators(batch)
@@ -203,11 +204,9 @@ def test_csv_round_trip():
     assert text == "x,y,a,b\n" + "".join(
         f"{x},{y},{a},{b}\n" for x, y, a, b in zip(batch.x, batch.y, batch.a, batch.b)
     )
-    back = batch_from_csv(text, source="file")
+    back = batch_from_csv(text)
     for field in ("x", "y", "a", "b"):
         assert np.array_equal(getattr(back, field), getattr(batch, field))
-    assert back.seed is None
-    assert back.source == "file"
     with pytest.raises(ValueError, match="header"):
         batch_from_csv("a,b,c,d\n0,0,1,1\n")
     with pytest.raises(ValueError, match="malformed"):
@@ -266,7 +265,7 @@ def test_estimators_match_the_per_cell_reference():
         cells = rng.choice(16, size=n, p=rng.dirichlet(np.ones(16)))
         batch = TrialBatch(
             x=cells >> 3, y=(cells >> 2) & 1, a=2 * ((cells >> 1) & 1) - 1,
-            b=2 * (cells & 1) - 1, seed=None, source="test",
+            b=2 * (cells & 1) - 1,
         )
         z = 4.0 * ((-1.0) ** (batch.x * batch.y)) * batch.a * batch.b
         assert single_trial_lcb(batch, 0.05).s_hat == float(z.mean())
@@ -313,7 +312,7 @@ def test_coverage_quick_check():
 def test_sample_behavior_trials_matches_cell_distribution():
     from nonshare.behaviors import pr_box
 
-    batch = sample_behavior_trials(pr_box(), 40000, seed=77, source="box")
+    batch = sample_behavior_trials(pr_box(), 40000, seed=77)
     stats = estimate_correlators(batch)
     # PR box: E = +1 on three cells, -1 on the (1,1) cell
     assert stats.e_hat[0, 0] == 1.0

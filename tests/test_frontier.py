@@ -11,11 +11,7 @@ from nonshare.frontier import (
     TSIRELSON,
     certify,
     gamma_plus,
-    gentle_bound,
-    near_tsirelson_bound,
     omega_from_s,
-    payoff_norm_bound,
-    robust_decoupling_bound,
     s13_max,
     werner_gap,
     werner_scan,
@@ -73,15 +69,6 @@ def test_omega_from_s():
         omega_from_s(3.0)
 
 
-def test_near_tsirelson_bound_orders():
-    for delta in (1e-6, 1e-3, 0.1, 1.0):
-        exact, loose = near_tsirelson_bound(delta)
-        assert exact == pytest.approx(sqrt(4.0 * sqrt(2.0) * delta - delta * delta), rel=1e-12)
-        assert exact <= loose
-    exact, loose = near_tsirelson_bound(0.0)
-    assert exact == 0.0 and loose == 0.0
-
-
 def test_certify_record_fields():
     rec = certify(2.5)
     assert rec.regime == "certified"
@@ -120,15 +107,6 @@ def test_werner_scan_rows():
         assert r.a12 == pytest.approx(0.5 + r.s12 / 8.0, abs=1e-15)
         assert r.c13_max_bound == pytest.approx(0.5 + s13_max(r.s12) / 8.0, abs=1e-15)
         assert r.gap == pytest.approx(werner_gap(r.eta), abs=1e-15)
-
-
-def test_auxiliary_bounds():
-    assert robust_decoupling_bound(0.0) == 0.0
-    assert robust_decoupling_bound(0.04) == pytest.approx((2.0 * sqrt(2.0) + 2.0) * 0.2)
-    assert gentle_bound(0.01) == pytest.approx(0.21)
-    assert payoff_norm_bound(2.0, 0.1) == pytest.approx(0.3)
-    with pytest.raises(ValueError):
-        payoff_norm_bound(-1.0, 0.1)
 
 
 def test_frontier_matches_quantum_tightness_family():

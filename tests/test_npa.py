@@ -6,11 +6,13 @@ from math import cos, sin, sqrt
 import numpy as np
 import pytest
 
-from nonshare.frontier import s13_max
+from nonshare.frontier import TSIRELSON, s13_max
 from nonshare.npa import (
     CSV_HEADER,
     DEFAULT_MAX_ITERS,
     MomentSolution,
+    ScanRow,
+    alpha0_report,
     alpha0_sanity,
     assemble,
     build_structure,
@@ -270,9 +272,22 @@ def test_alpha0_sanity_small_grid():
     report = alpha0_sanity(grid_points=4, max_iters=20000)
     assert len(report.certified_mask) == 4
     assert report.max_dev < 1e-6
-    assert report.mean_dev <= report.max_dev
-    for row, ok in zip(report.rows, report.certified_mask):
-        assert row.certified == ok
+
+
+def test_alpha0_report_reads_certified_untilted_rows():
+    def row(alpha, s, primal, certified):
+        return ScanRow(alpha, s, primal, primal, 0.0, 0.0, 0.0, "solved", certified)
+
+    rows = [
+        row(0.0, 2.0, 2.0 + 1e-7, True),
+        row(0.5, 2.5, 9.0, True),  # tilted: ignored
+        row(0.0, 2.5, 0.0, False),  # uncertified: in the mask only
+        row(0.0, 0.0, TSIRELSON - 3e-7, True),
+    ]
+    report = alpha0_report(rows)
+    assert report.certified_mask == (True, False, True)
+    assert report.max_dev == pytest.approx(3e-7, abs=1e-15)
+    assert np.isnan(alpha0_report(rows[1:3]).max_dev)
 
 
 def test_scan_to_csv_format():

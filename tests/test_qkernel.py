@@ -23,7 +23,6 @@ from nonshare.qkernel import (
     expectation,
     pair_settings,
     tightness_state,
-    tightness_strategy,
     werner_state,
     werner_strategy,
 )
@@ -133,8 +132,11 @@ def test_tensor_and_strategy_validation():
 
 def test_strategy_builders():
     assert born_behavior(werner_strategy(0.5)).n_parties == 2
-    strat3 = tightness_strategy(0.3)
-    assert len(strat3.observables) == 3
+    a0, a1, o0, o1 = pair_settings()
+    strat3 = QuantumStrategy(
+        state=tightness_state(0.3), observables=((a0, a1), (o0, o1), (o0, o1))
+    )
+    assert strat3.n_parties == 3
     p3 = born_behavior(strat3)
     assert p3.n_parties == 3
     assert check_no_signalling(p3).max_residual < 1e-12
