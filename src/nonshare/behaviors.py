@@ -32,6 +32,9 @@ class Behavior:
             raise ValueError("alphabet lists must have one entry per party")
         if table.shape != shape:
             raise ValueError(f"table shape {table.shape} does not match alphabets {shape}")
+        # NaN fails every comparison, so it is checked for first
+        if not np.isfinite(table).all():
+            raise ValueError("table has a non-finite probability")
         if table.min() < -NORMALIZATION_TOL:
             raise ValueError("table has a negative probability")
         table = np.where(table < 0.0, 0.0, table)  # clear float dust only
@@ -92,7 +95,7 @@ class GameKernel:
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
-        if values.min() < 0.0 or values.max() > 1.0:
+        if not np.isfinite(values).all() or values.min() < 0.0 or values.max() > 1.0:
             raise ValueError("kernel values must lie in [0, 1]")
         object.__setattr__(self, "values", values)
 

@@ -10,18 +10,21 @@ and maximizes I13 subject to the moment matrix being positive semidefinite
 and I12 >= s. The relaxation is real symmetrized: one real variable per
 adjoint pair of canonical words, an outer approximation of the complex
 Hermitian problem. The embedded solver is a homogeneous self-dual conic
-splitting (Douglas-Rachford on the optimality embedding) with a dense
-factorization, PSD projection by eigendecomposition, and residual-balanced
-step-metric adaptation.
+splitting (Douglas-Rachford on the optimality embedding) with a structured
+KKT solve (block elimination, Sherman-Morrison on the threshold row and a
+scalar Schur step for tau; no dense factorization), PSD projection by
+eigendecomposition, and residual-balanced step-metric adaptation. Each
+solution also carries an upper bound proven from its dual vector alone.
+The module needs numpy only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import isfinite, sqrt
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .frontier import SQRT2, s13_max
 
@@ -188,10 +191,12 @@ def assemble(
 
 @dataclass(frozen=True)
 class MomentSolution:
-    """Solver output with the five certificate diagnostics."""
+    """Solver output with the five certificate diagnostics and a proven
+    upper bound on the relaxation's value (NaN when there is no dual)."""
 
     primal: float
     dual: float
+    upper_bound: float
     gap: float
     max_residual: float
     min_eig: float
@@ -237,27 +242,90 @@ class _SvecOps:
         return mat
 
 
-def _conic_data(prob: MomentProblem, ops: _SvecOps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class ConicData:
     """Standard form min c.x, A x + slack = b, slack in R+ x PSD(d).
 
-    Row 0 carries the threshold inequality; the PSD block pins the svec of
-    Gamma(x) = G0 + sum_k x_k G_k with G0 the identity contribution.
+    Row 0 of A carries the threshold inequality and is stored dense. Every
+    later row pins one svec slot of Gamma(x), which is one variable or the
+    constant 1, so it has at most one nonzero: ``vals[i]`` in column
+    ``cols[i]`` (0 and 0.0 for a constant slot).
     """
-    entry = prob.structure.entry_vars
-    n = prob.structure.n_variables
-    m = 1 + ops.dim
-    a_mat = np.zeros((m, n))
-    b_vec = np.zeros(m)
-    a_mat[0, :] = -prob.constraint
-    b_vec[0] = -prob.s
-    entry_tril = entry[ops.rows, ops.cols]
-    for slot, (var, sc) in enumerate(zip(entry_tril, ops.scale)):
-        if var >= 0:
-            a_mat[1 + slot, var] = -sc
-        else:
-            b_vec[1 + slot] = sc
-    c_vec = -prob.objective
-    return a_mat, b_vec, c_vec
+
+    a0: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return np.concatenate([[self.a0 @ x], self.vals * x[self.cols]])
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        return self.a0 * y[0] + np.bincount(self.cols, self.vals * y[1:], self.c.size)
+
+
+def _conic_data(prob: MomentProblem, ops: _SvecOps) -> ConicData:
+    """The PSD block pins the svec of Gamma(x) = G0 + sum_k x_k G_k with G0
+    the identity contribution."""
+    entry_tril = prob.structure.entry_vars[ops.rows, ops.cols]
+    constant = entry_tril < 0
+    return ConicData(
+        a0=-prob.constraint,
+        cols=np.where(constant, 0, entry_tril),
+        vals=np.where(constant, 0.0, -ops.scale),
+        b=np.concatenate([[-prob.s], np.where(constant, ops.scale, 0.0)]),
+        c=-prob.objective,
+    )
+
+
+class KKTFactor(NamedTuple):
+    """Block elimination of diag(1_n, sigma 1_m, 1) + Q for `lu_solve`."""
+
+    data: ConicData
+    sigma: float
+    e: np.ndarray  # diagonal part of K = I + A^T A / sigma
+    ea: np.ndarray  # a0 / e
+    pivot: float  # sigma + a0 . (a0 / e), the Sherman-Morrison pivot
+    p: np.ndarray  # K^-1 (c - A^T b / sigma)
+    d: np.ndarray  # c + A^T b / sigma
+    tau_pivot: float  # Schur complement of the tau entry
+
+
+def _k_solve(e: np.ndarray, ea: np.ndarray, pivot: float, v: np.ndarray) -> np.ndarray:
+    """K^-1 v by Sherman-Morrison on the diagonal plus the threshold row."""
+    return v / e - ea * ((ea @ v) / pivot)
+
+
+def lu_factor(data: ConicData, sigma: float) -> KKTFactor:
+    """Factor the KKT matrix diag(1_n, sigma 1_m, 1) + Q of the embedding,
+
+        Q = [[0, A^T, c], [-A, 0, b], [-c^T, -b^T, 0]].
+
+    Eliminating the y block leaves K = I + A^T A / sigma, which is diagonal
+    plus the rank-1 term of row 0 because every later row of A has at most
+    one nonzero; tau then follows from a scalar Schur complement.
+    """
+    a0, b, c = data.a0, data.b, data.c
+    e = 1.0 + np.bincount(data.cols, data.vals * data.vals, c.size) / sigma
+    ea = a0 / e
+    pivot = sigma + a0 @ ea
+    atb = data.rmatvec(b) / sigma
+    p = _k_solve(e, ea, pivot, c - atb)
+    d = c + atb
+    return KKTFactor(data, sigma, e, ea, pivot, p, d, 1.0 + (b @ b) / sigma + d @ p)
+
+
+def lu_solve(f: KKTFactor, r: np.ndarray) -> np.ndarray:
+    """Solve (diag(1_n, sigma 1_m, 1) + Q) w = r with a `lu_factor` result."""
+    data, sigma = f.data, f.sigma
+    n = data.c.size
+    r_x, r_y, r_t = r[:n], r[n:-1], r[-1]
+    h = _k_solve(f.e, f.ea, f.pivot, r_x - data.rmatvec(r_y) / sigma)
+    w_t = (r_t + (data.b @ r_y) / sigma + f.d @ h) / f.tau_pivot
+    w_x = h - f.p * w_t
+    w_y = (r_y + data.matvec(w_x) - data.b * w_t) / sigma
+    return np.concatenate([w_x, w_y, [w_t]])
 
 
 def moment_matrix(prob: MomentProblem, x: np.ndarray) -> np.ndarray:
@@ -266,6 +334,48 @@ def moment_matrix(prob: MomentProblem, x: np.ndarray) -> np.ndarray:
     gamma = (entry == -1).astype(float)
     np.copyto(gamma, x[entry], where=entry >= 0)
     return gamma
+
+
+def dual_upper_bound(prob: MomentProblem, y: np.ndarray) -> float:
+    """Upper bound on the relaxation's value proven from any dual vector y.
+
+    A, b and c are rebuilt from the problem; nothing else is trusted. With
+    ybar = y whose threshold entry is clipped at 0, every feasible x obeys
+
+        -c.x = b.ybar - (A^T ybar + c).x - ybar.slack
+             <= b.ybar + |A^T ybar + c|_1 + tr(Gamma) max(0, -lambda_min(Ybar)),
+
+    because Gamma(x) is PSD with unit diagonal, so |x_k| <= 1, and
+    ybar.slack >= lambda_min(Ybar) tr(Gamma) with Ybar = smat(ybar[1:]).
+    Rounding is covered by a margin in the style of Jansson, Chaykin & Keil
+    (SIAM J. Numer. Anal. 2008): each computed sum has at most k = m + n
+    terms, so it is off by at most k eps times the sum of its terms' absolute
+    values, and LAPACK's eigenvalues are exact for a matrix within about
+    d eps |Ybar|_F of the computed smat; the margin doubles both.
+    """
+    ops = _SvecOps(prob.structure.n_words)
+    data = _conic_data(prob, ops)
+    y_bar = np.array(y, dtype=float)
+    y_bar[0] = max(y_bar[0], 0.0)
+    residual = data.rmatvec(y_bar) + data.c
+    y_mat = ops.smat(y_bar[1:])
+    trace = float(ops.d)
+    value = (
+        data.b @ y_bar
+        + np.abs(residual).sum()
+        + trace * max(0.0, -float(np.linalg.eigvalsh(y_mat)[0]))
+    )
+    y_abs = np.abs(y_bar)
+    magnitude = (
+        np.abs(data.b) @ y_abs
+        + np.abs(data.a0).sum() * y_abs[0]
+        + np.abs(data.vals) @ y_abs[1:]
+        + np.abs(data.c).sum()
+        + np.abs(residual).sum()
+        + trace * np.linalg.norm(y_mat)
+    )
+    eps = np.finfo(float).eps
+    return float(value + 2.0 * (data.b.size + data.c.size + ops.d + 3) * eps * magnitude)
 
 
 def sdp_solve(
@@ -290,20 +400,14 @@ def sdp_solve(
         if not (isfinite(eps) and eps >= 0.0):
             raise ValueError(f"{name} must be finite and non-negative, got {eps}")
     ops = _SvecOps(prob.structure.n_words)
-    a_mat, b_vec, c_vec = _conic_data(prob, ops)
-    m, n = a_mat.shape
+    data = _conic_data(prob, ops)
+    b_vec, c_vec = data.b, data.c
+    m, n = b_vec.size, c_vec.size
     dim = n + m + 1
-    q_mat = np.zeros((dim, dim))
-    q_mat[:n, n : n + m] = a_mat.T
-    q_mat[n : n + m, :n] = -a_mat
-    q_mat[:n, -1] = c_vec
-    q_mat[-1, :n] = -c_vec
-    q_mat[n : n + m, -1] = b_vec
-    q_mat[-1, n : n + m] = -b_vec
 
     def factor(sig: float):
         m_diag = np.concatenate([np.ones(n), np.full(m, sig), [1.0]])
-        return m_diag, lu_factor(np.diag(m_diag) + q_mat)
+        return m_diag, lu_factor(data, sig)
 
     def project(z: np.ndarray) -> np.ndarray:
         u = z.copy()
@@ -367,8 +471,8 @@ def sdp_solve(
             x = u[:n] / tau
             y = u_y / tau
             slack = slack_raw / tau
-            pres = float(np.linalg.norm(a_mat @ x + slack - b_vec))
-            dres = float(np.linalg.norm(a_mat.T @ y + c_vec))
+            pres = float(np.linalg.norm(data.matvec(x) + slack - b_vec))
+            dres = float(np.linalg.norm(data.rmatvec(y) + c_vec))
             pobj = float(c_vec @ x)
             dobj = float(-b_vec @ y)
             gap = abs(pobj - dobj)
@@ -383,7 +487,7 @@ def sdp_solve(
         bty = float(b_vec @ u_y)
         if bty < -1e-12:
             y_cert = u_y / (-bty)
-            if float(np.linalg.norm(a_mat.T @ y_cert)) <= eps_cert:
+            if float(np.linalg.norm(data.rmatvec(y_cert))) <= eps_cert:
                 status = "infeasible"
                 iterations = it
                 break
@@ -391,7 +495,7 @@ def sdp_solve(
         if ctx < -1e-12:
             x_cert = u[:n] / (-ctx)
             s_cert = slack_raw / (-ctx)
-            if float(np.linalg.norm(a_mat @ x_cert + s_cert)) <= eps_cert:
+            if float(np.linalg.norm(data.matvec(x_cert) + s_cert)) <= eps_cert:
                 status = "unbounded"
                 iterations = it
                 break
@@ -418,6 +522,7 @@ def sdp_solve(
         return MomentSolution(
             primal=float("nan"),
             dual=float("nan"),
+            upper_bound=float("nan"),
             gap=float("inf"),
             max_residual=float("inf"),
             min_eig=float("-inf"),
@@ -430,8 +535,8 @@ def sdp_solve(
     x = u[:n] / tau
     y = u[n : n + m] / tau
     slack = sigma * (u[n : n + m] - z[n : n + m]) / tau
-    pres = float(np.linalg.norm(a_mat @ x + slack - b_vec))
-    dres = float(np.linalg.norm(a_mat.T @ y + c_vec))
+    pres = float(np.linalg.norm(data.matvec(x) + slack - b_vec))
+    dres = float(np.linalg.norm(data.rmatvec(y) + c_vec))
     primal = float(-(c_vec @ x))
     dual = float(b_vec @ y)
     gamma = moment_matrix(prob, x)
@@ -439,6 +544,7 @@ def sdp_solve(
     sol = MomentSolution(
         primal=primal,
         dual=dual,
+        upper_bound=dual_upper_bound(prob, y),
         gap=abs(primal - dual),
         max_residual=max(pres, dres),
         min_eig=min_eig,

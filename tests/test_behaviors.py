@@ -46,6 +46,12 @@ def test_behavior_validation():
         Behavior(2, (2, 2), (2, 2), bad)  # negative entry
     with pytest.raises(ValueError):
         Behavior(2, (2, 2), (2, 2), np.full((2, 2, 2), 0.25))  # wrong shape
+    # NaN fails both the sign and the row-sum comparison
+    for cell in ((0, 0, 0, 0), (1, 1, 1, 1)):
+        nan_table = np.full((2, 2, 2, 2), 0.25)
+        nan_table[cell] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            Behavior(2, (2, 2), (2, 2), nan_table)
     p = uniform_pair()
     assert not p.table.flags.writeable
     assert p.n_inputs == 4
@@ -109,6 +115,10 @@ def test_game_score_is_half_plus_s_over_8():
 def test_game_kernel_validation():
     with pytest.raises(ValueError):
         GameKernel(values=np.full((2, 2, 2, 2), 1.5))
+    nan_values = np.full((2, 2, 2, 2), 0.5)
+    nan_values[1, 0, 0, 1] = np.nan
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        GameKernel(values=nan_values)
     with pytest.raises(ValueError):
         game_score(uniform_pair(), GameKernel(values=np.full((2, 2, 2), 0.5)))
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from math import sqrt
@@ -284,6 +285,25 @@ def test_npa_scan_argument_errors(capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith(f"input error: {flag[2:].replace('-', '_')}")
+
+
+def test_npa_scan_output_does_not_depend_on_blas_threads():
+    # the solver's KKT solve uses no BLAS call whose rounding depends on
+    # how many threads share the work, so the bytes may not either
+    argv = [sys.executable, "-m", "nonshare.cli", "npa-scan", "--alphas", "0,0.5",
+            "--grid", "4", "--max-iters", "3200"]
+    procs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        procs.append(subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                                      stderr=subprocess.PIPE))
+    (out1, err1), (out2, err2) = (proc.communicate(timeout=300) for proc in procs)
+    assert [proc.returncode for proc in procs] == [EXIT_OK, EXIT_OK]
+    assert out1.startswith(b"alpha,s,primal,")
+    assert out1 == out2
+    assert err1 == err2
 
 
 def test_verify_distance_jsonl(tmp_path, capsys):

@@ -6,6 +6,7 @@ from math import cos, sin, sqrt
 import numpy as np
 import pytest
 
+from nonshare import npa
 from nonshare.frontier import TSIRELSON, s13_max
 from nonshare.npa import (
     CSV_HEADER,
@@ -20,6 +21,7 @@ from nonshare.npa import (
     canonicalize,
     certify_point,
     classical_bound,
+    dual_upper_bound,
     moment_matrix,
     quantum_maximum,
     scan,
@@ -221,11 +223,87 @@ def test_sdp_solve_detects_infeasible_threshold():
     assert sol.status == "infeasible"
     assert not sol.certified
     assert not np.isfinite(sol.primal)
+    assert np.isnan(sol.upper_bound)
+
+
+LEVEL_ONE = build_structure([()] + list(build_word_set()[1:7]))
+
+
+def dense_kkt(prob, sigma):
+    """diag(1_n, sigma 1_m, 1) + Q of the embedding, built entry by entry."""
+    st = prob.structure
+    rows, cols = np.tril_indices(st.n_words)
+    n, m = st.n_variables, 1 + rows.size
+    a_mat, b_vec = np.zeros((m, n)), np.zeros(m)
+    a_mat[0], b_vec[0] = -prob.constraint, -prob.s
+    for slot, (i, j) in enumerate(zip(rows, cols)):
+        scale = 1.0 if i == j else sqrt(2.0)
+        if st.entry_vars[i, j] >= 0:
+            a_mat[1 + slot, st.entry_vars[i, j]] = -scale
+        else:
+            b_vec[1 + slot] = scale
+    c_vec = -prob.objective
+    kkt = np.diag(np.concatenate([np.ones(n), np.full(m, sigma), [1.0]]))
+    kkt[:n, n:-1] += a_mat.T
+    kkt[n:-1, :n] -= a_mat
+    kkt[:n, -1] += c_vec
+    kkt[-1, :n] -= c_vec
+    kkt[n:-1, -1] += b_vec
+    kkt[-1, n:-1] -= b_vec
+    return kkt
+
+
+@pytest.mark.parametrize("structure", [STRUCTURE, LEVEL_ONE], ids=["level2", "level1"])
+@pytest.mark.parametrize("sigma", [0.1, 1.0, 10.0])
+def test_structured_kkt_solve_matches_a_dense_solve(structure, sigma):
+    prob = assemble(0.5, 2.6, structure)
+    data = npa._conic_data(prob, npa._SvecOps(structure.n_words))
+    factor = npa.lu_factor(data, sigma)
+    kkt = dense_kkt(prob, sigma)
+    rng = np.random.default_rng(int(10 * sigma) + structure.n_words)
+    for _ in range(3):
+        r = rng.standard_normal(kkt.shape[0])
+        expected = np.linalg.solve(kkt, r)
+        w = npa.lu_solve(factor, r)
+        assert np.linalg.norm(w - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def row_source(alpha, s):
+    """The value a certified reference row names: the closed form at alpha = 0,
+    otherwise I13 of the pinned strategy."""
+    if alpha == 0.0:
+        return s13_max(s)
+    return tilted_scores(alpha, *PINNED_STRATEGIES[(alpha, s)])[1]
+
+
+@pytest.mark.parametrize(
+    "alpha,s",
+    [(alpha, s) for alpha, s, _, certified in REFERENCE_ROWS
+     if certified and PINNED_STRATEGIES.get((alpha, s)) is not DETERMINISTIC],
+)
+def test_upper_bound_encloses_the_attained_score(alpha, s):
+    prob = assemble(alpha, s, STRUCTURE)
+    sol = sdp_solve(prob)
+    assert sol.certified
+    source = row_source(alpha, s)
+    # proven from the dual alone, so it may not lie below an attained score
+    assert sol.upper_bound >= source
+    assert sol.upper_bound - sol.primal <= 1e-7
+    # any dual vector gives a valid bound, however far from optimal
+    rng = np.random.default_rng(17)
+    m = 1 + STRUCTURE.n_words * (STRUCTURE.n_words + 1) // 2
+    assert dual_upper_bound(prob, np.zeros(m)) >= np.abs(prob.objective).sum()
+    # a negative diagonal lowers b.y by 22 and only the eigenvalue term restores it
+    rows, cols = np.tril_indices(STRUCTURE.n_words)
+    y = np.zeros(m)
+    y[1:][rows == cols] = -1.0
+    assert dual_upper_bound(prob, y) >= source
+    for _ in range(3):
+        assert dual_upper_bound(prob, rng.standard_normal(m)) >= source
 
 
 def test_level_one_relaxation_is_strictly_looser():
-    level1 = build_structure([()] + list(build_word_set()[1:7]))
-    loose = sdp_solve(assemble(0.0, 2.5, level1))
+    loose = sdp_solve(assemble(0.0, 2.5, LEVEL_ONE))
     tight = sdp_solve(assemble(0.0, 2.5, STRUCTURE))
     assert loose.certified and tight.certified
     assert loose.primal > tight.primal + 0.1
@@ -243,7 +321,7 @@ def test_partner_swap_symmetry():
 
 def test_certify_point_conjunction():
     good = MomentSolution(
-        primal=1.0, dual=1.0, gap=1e-8, max_residual=1e-7, min_eig=-1e-9,
+        primal=1.0, dual=1.0, upper_bound=1.0, gap=1e-8, max_residual=1e-7, min_eig=-1e-9,
         status="optimal", certified=False, iterations=10, moments=None, gamma=None,
     )
     assert certify_point(good)
