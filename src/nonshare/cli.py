@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
@@ -67,16 +68,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if (args.s12 is None) == (args.trials is None):
         raise ValueError("provide exactly one of --s12 or --trials")
     if args.s12 is not None:
-        rec = frontier.certify(args.s12)
-        payload = {
-            "s12": rec.s12,
-            "s13_max": rec.s13_max,
-            "omega13_max": rec.omega13_max,
-            "gamma_plus": rec.gamma_plus,
-            "regime": rec.regime,
-            "provenance": rec.provenance,
-        }
-        _write_output(json.dumps(payload, indent=2) + "\n", args.out)
+        _write_output(json.dumps(asdict(frontier.certify(args.s12)), indent=2) + "\n", args.out)
         return EXIT_OK
     with open(args.trials, "r", encoding="utf-8") as fh:
         batch = finitedata.batch_from_csv(fh.read())
@@ -113,8 +105,8 @@ def cmd_werner(args: argparse.Namespace) -> int:
     if args.points < 2:
         raise ValueError("werner scan needs at least 2 points")
     records = frontier.werner_scan([float(v) for v in np.linspace(0.0, 1.0, args.points)])
-    rows = [(r.eta, r.s12, r.a12, r.c13_max_bound, r.gap) for r in records]
-    _write_table(("eta", "s12", "a12", "c13_max_bound", "gap"), rows, args.format, args.out)
+    columns = tuple(f.name for f in fields(frontier.WernerRecord))
+    _write_table(columns, [astuple(r) for r in records], args.format, args.out)
     return EXIT_OK
 
 

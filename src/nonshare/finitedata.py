@@ -11,7 +11,7 @@ must pre-align the CHSH orientation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import ceil, log, sqrt
 
 import numpy as np
@@ -230,15 +230,5 @@ def batch_from_csv(text: str) -> TrialBatch:
 
 def certificate_to_json(cert: FiniteDataCertificate) -> str:
     """Certificate JSON with tool version and the assumption string."""
-    payload = {
-        "s_hat": cert.s_hat,
-        "radius": cert.radius,
-        "s_lcb": cert.s_lcb,
-        "s_cert": cert.s_cert,
-        "gamma_lcb": cert.gamma_lcb,
-        "confidence": cert.confidence,
-        "estimator": cert.estimator,
-        "assumptions": ASSUMPTIONS,
-        "tool_version": __version__,
-    }
+    payload = asdict(cert) | {"assumptions": ASSUMPTIONS, "tool_version": __version__}
     return json.dumps(payload, indent=2) + "\n"

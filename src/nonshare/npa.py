@@ -20,7 +20,9 @@ The module needs numpy only.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
+from itertools import pairwise
 from math import isfinite, sqrt
 from typing import NamedTuple
 
@@ -203,8 +205,6 @@ class MomentSolution:
     status: str
     certified: bool
     iterations: int
-    moments: np.ndarray | None
-    gamma: np.ndarray | None
 
 
 def certify_point(sol: MomentSolution) -> bool:
@@ -428,6 +428,20 @@ def sdp_solve(
         w = lu_solve(lu, m_diag * (2.0 * u - z))
         return relax * (w - u)
 
+    def recover(z: np.ndarray):
+        """u = project(z), the unscaled slack and the iterate (x, y, pres,
+        dres) scaled by tau, or None when tau <= 1e-12."""
+        u = project(z)
+        slack_raw = sigma * (u[n : n + m] - z[n : n + m])
+        tau = u[-1]
+        if tau <= 1e-12:
+            return u, slack_raw, None
+        x = u[:n] / tau
+        y = u[n : n + m] / tau
+        pres = float(np.linalg.norm(data.matvec(x) + slack_raw / tau - b_vec))
+        dres = float(np.linalg.norm(data.rmatvec(y) + c_vec))
+        return u, slack_raw, (x, y, pres, dres)
+
     z = np.zeros(dim)
     z[-1] = 1.0
     b_norm = float(np.linalg.norm(b_vec))
@@ -438,20 +452,18 @@ def sdp_solve(
     aa_memory = 10
     status = "optimal_inaccurate"
     iterations = max_iters
-    z_hist: list[np.ndarray] = []
-    g_hist: list[np.ndarray] = []
+    # z and g are rebound, never written in place, while the history holds them
+    z_hist: deque[np.ndarray] = deque(maxlen=aa_memory + 1)
+    g_hist: deque[np.ndarray] = deque(maxlen=aa_memory + 1)
     g = step_residual(z)
 
     for it in range(1, max_iters + 1):
-        z_hist.append(z.copy())
-        g_hist.append(g.copy())
-        if len(z_hist) > aa_memory + 1:
-            z_hist.pop(0)
-            g_hist.pop(0)
+        z_hist.append(z)
+        g_hist.append(g)
         accepted = False
         if len(z_hist) >= 3:
-            dz = np.stack([z_hist[i + 1] - z_hist[i] for i in range(len(z_hist) - 1)], axis=1)
-            dg = np.stack([g_hist[i + 1] - g_hist[i] for i in range(len(g_hist) - 1)], axis=1)
+            dz = np.stack([b - a for a, b in pairwise(z_hist)], axis=1)
+            dg = np.stack([b - a for a, b in pairwise(g_hist)], axis=1)
             coeff, *_ = np.linalg.lstsq(dg, g, rcond=None)
             z_aa = z + g - (dz + dg) @ coeff
             g_aa = step_residual(z_aa)
@@ -462,17 +474,11 @@ def sdp_solve(
             g = step_residual(z)
         if it % check_every != 0 and it != max_iters:
             continue
-        u = project(z)
-        tau = u[-1]
+        u, slack_raw, iterate = recover(z)
         u_y = u[n : n + m]
-        slack_raw = sigma * (u_y - z[n : n + m])
         pres = dres = np.inf
-        if tau > 1e-12:
-            x = u[:n] / tau
-            y = u_y / tau
-            slack = slack_raw / tau
-            pres = float(np.linalg.norm(data.matvec(x) + slack - b_vec))
-            dres = float(np.linalg.norm(data.rmatvec(y) + c_vec))
+        if iterate is not None:
+            x, y, pres, dres = iterate
             pobj = float(c_vec @ x)
             dobj = float(-b_vec @ y)
             gap = abs(pobj - dobj)
@@ -509,65 +515,42 @@ def sdp_solve(
                 # residual imbalance: a dominant primal residual calls for a
                 # smaller y-metric weight, and vice versa
                 new_sigma = sigma / balance
+                z_hist.clear()
+                g_hist.clear()
                 z[n : n + m] = u_y - sigma * (u_y - z[n : n + m]) / new_sigma
                 sigma = new_sigma
                 m_diag, lu = factor(sigma)
-                z_hist.clear()
-                g_hist.clear()
                 g = step_residual(z)
 
-    u = project(z)
-    tau = u[-1]
-    if status in ("infeasible", "unbounded") or tau <= 1e-12:
-        return MomentSolution(
-            primal=float("nan"),
-            dual=float("nan"),
-            upper_bound=float("nan"),
-            gap=float("inf"),
-            max_residual=float("inf"),
-            min_eig=float("-inf"),
-            status=status,
-            certified=False,
-            iterations=iterations,
-            moments=None,
-            gamma=None,
-        )
-    x = u[:n] / tau
-    y = u[n : n + m] / tau
-    slack = sigma * (u[n : n + m] - z[n : n + m]) / tau
-    pres = float(np.linalg.norm(data.matvec(x) + slack - b_vec))
-    dres = float(np.linalg.norm(data.rmatvec(y) + c_vec))
+    # sigma may have been re-balanced at the last check, so recover from the final z
+    _, _, iterate = recover(z)
+    if status in ("infeasible", "unbounded") or iterate is None:
+        nan, inf = float("nan"), float("inf")
+        return MomentSolution(nan, nan, nan, inf, inf, -inf, status, False, iterations)
+    x, y, pres, dres = iterate
     primal = float(-(c_vec @ x))
     dual = float(b_vec @ y)
-    gamma = moment_matrix(prob, x)
-    min_eig = float(np.linalg.eigvalsh(gamma)[0])
     sol = MomentSolution(
         primal=primal,
         dual=dual,
         upper_bound=dual_upper_bound(prob, y),
         gap=abs(primal - dual),
         max_residual=max(pres, dres),
-        min_eig=min_eig,
+        min_eig=float(np.linalg.eigvalsh(moment_matrix(prob, x))[0]),
         status=status,
         certified=False,
         iterations=iterations,
-        moments=x,
-        gamma=gamma,
     )
     return replace(sol, certified=certify_point(sol))
 
 
 @dataclass(frozen=True)
 class ScanRow:
+    """One grid point of a scan and the whole record of its solve."""
+
     alpha: float
     s: float
-    primal: float
-    dual: float
-    gap: float
-    max_residual: float
-    min_eig: float
-    status: str
-    certified: bool
+    solution: MomentSolution
 
 
 def scan(
@@ -584,24 +567,12 @@ def scan(
         raise ValueError("grid needs at least 2 points")
     structure = build_structure()
     rows: list[ScanRow] = []
-    for alpha in alphas:
+    for alpha in map(float, alphas):
         grid = np.linspace(classical_bound(alpha), quantum_maximum(alpha), grid_points)
-        for s in grid:
-            prob = assemble(float(alpha), float(s), structure)
+        for s in map(float, grid):
+            prob = assemble(alpha, s, structure)
             sol = sdp_solve(prob, eps_abs=eps_abs, eps_rel=eps_rel, max_iters=max_iters)
-            rows.append(
-                ScanRow(
-                    alpha=float(alpha),
-                    s=float(s),
-                    primal=sol.primal,
-                    dual=sol.dual,
-                    gap=sol.gap,
-                    max_residual=sol.max_residual,
-                    min_eig=sol.min_eig,
-                    status=sol.status,
-                    certified=sol.certified,
-                )
-            )
+            rows.append(ScanRow(alpha, s, sol))
     return rows
 
 
@@ -616,10 +587,12 @@ class SanityReport:
 def alpha0_report(rows: list[ScanRow]) -> SanityReport:
     """Largest |primal - sqrt(8 - s^2)| over the certified untilted rows."""
     untilted = [row for row in rows if row.alpha == 0.0]
-    devs = [abs(row.primal - s13_max(row.s)) for row in untilted if row.certified]
+    devs = [
+        abs(row.solution.primal - s13_max(row.s)) for row in untilted if row.solution.certified
+    ]
     return SanityReport(
         max_dev=max(devs) if devs else float("nan"),
-        certified_mask=tuple(row.certified for row in untilted),
+        certified_mask=tuple(row.solution.certified for row in untilted),
     )
 
 
@@ -643,8 +616,10 @@ def scan_to_csv(rows: list[ScanRow]) -> str:
     """Diagnostic table, floats at 9 significant digits."""
     lines = [CSV_HEADER]
     for r in rows:
+        sol = r.solution
         lines.append(
-            f"{r.alpha:.9g},{r.s:.9g},{r.primal:.9g},{r.dual:.9g},{r.gap:.9g},"
-            f"{r.max_residual:.9g},{r.min_eig:.9g},{r.status},{'yes' if r.certified else 'no'}"
+            f"{r.alpha:.9g},{r.s:.9g},{sol.primal:.9g},{sol.dual:.9g},{sol.gap:.9g},"
+            f"{sol.max_residual:.9g},{sol.min_eig:.9g},{sol.status},"
+            f"{'yes' if sol.certified else 'no'}"
         )
     return "\n".join(lines) + "\n"

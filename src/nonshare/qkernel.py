@@ -11,10 +11,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import cos, sin
 
 import numpy as np
 
+from .behaviors import Behavior
 from .frontier import SQRT2, TSIRELSON  # TSIRELSON is re-exported for callers
 
 HERMITICITY_TOL = 1e-10
@@ -36,6 +38,9 @@ class Ket:
     def __post_init__(self) -> None:
         amp = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amp)
+        # NaN fails every comparison below, so it is refused first
+        if not np.isfinite(amp).all():
+            raise ValueError("state vector has a non-finite amplitude")
         if amp.ndim != 1 or amp.size & (amp.size - 1):
             raise ValueError("amplitude vector length must be a power of 2")
         if abs(np.vdot(amp, amp).real - 1.0) > NORM_TOL:
@@ -57,6 +62,8 @@ class DensityOp:
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=complex)
+        if not np.isfinite(mat).all():
+            raise ValueError("density operator has a non-finite entry")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density operator must be a square matrix")
         if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
@@ -88,9 +95,15 @@ class QuantumStrategy:
         object.__setattr__(self, "observables", obs)
         if 2 ** len(obs) != self.state.dim:
             raise ValueError("state dimension is not 2 ** (number of parties)")
-        for o0, o1 in obs:
-            if o0.shape != (2, 2) or o1.shape != (2, 2):
+        for o in chain.from_iterable(obs):
+            if o.shape != (2, 2):
                 raise ValueError("observables must be 2x2 qubit operators")
+            if not np.isfinite(o).all():
+                raise ValueError("observable has a non-finite entry")
+            if np.max(np.abs(o - o.conj().T)) > HERMITICITY_TOL:
+                raise ValueError("observable is not Hermitian")
+            if np.max(np.abs(o @ o - I2)) > HERMITICITY_TOL:
+                raise ValueError("observable does not square to the identity")
 
     @property
     def n_parties(self) -> int:
@@ -206,27 +219,20 @@ def chsh_score(
     return corr[0][0] + corr[0][1] + corr[1][0] - corr[1][1]
 
 
-def born_behavior(strategy: QuantumStrategy):
+def born_behavior(strategy: QuantumStrategy) -> Behavior:
     """Conditional behavior induced by the strategy under the Born rule.
 
-    Only binary projective observables are supported: outcomes +-1 map to
-    projectors (I +- O)/2 and outcome labels follow the 0 <-> +1 convention.
-    The result is fully no-signalling up to floating-point error.
+    The observables are binary and projective (checked by `QuantumStrategy`):
+    outcomes +-1 map to projectors (I +- O)/2 and outcome labels follow the
+    0 <-> +1 convention. The result is fully no-signalling up to
+    floating-point error.
     """
-    from .behaviors import Behavior
-
     n = strategy.n_parties
     state = strategy.state if isinstance(strategy.state, DensityOp) else strategy.state.density()
-    projectors: list[list[list[np.ndarray]]] = []
-    for party, (o0, o1) in enumerate(strategy.observables, start=1):
-        per_setting = []
-        for obs in (o0, o1):
-            if np.max(np.abs(obs @ obs - I2)) > HERMITICITY_TOL:
-                raise ValueError("observable does not square to the identity")
-            per_setting.append(
-                [_lift((I2 + obs) / 2.0, party, n), _lift((I2 - obs) / 2.0, party, n)]
-            )
-        projectors.append(per_setting)
+    projectors = [
+        [[_lift((I2 + obs) / 2.0, party, n), _lift((I2 - obs) / 2.0, party, n)] for obs in pair]
+        for party, pair in enumerate(strategy.observables, start=1)
+    ]
     shape = (2,) * n + (2,) * n
     table = np.zeros(shape)
     for settings in np.ndindex(*(2,) * n):

@@ -37,6 +37,8 @@ def test_pauli_algebra():
 def test_ket_normalization_enforced():
     with pytest.raises(ValueError):
         Ket(np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        Ket(np.array([np.nan, 0.0]))  # NaN passes the norm comparison
     k = Ket(np.array([1.0, 1.0]) / sqrt(2))
     rho = k.density()
     assert np.allclose(rho.matrix, 0.5 * np.ones((2, 2)))
@@ -49,6 +51,8 @@ def test_density_validation():
         DensityOp(np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative eigenvalue
     with pytest.raises(ValueError):
         DensityOp(np.eye(2))  # trace 2
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityOp(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_expectation_real_guard():
@@ -127,6 +131,21 @@ def test_tensor_and_strategy_validation():
         QuantumStrategy(
             state=bell_state(),
             observables=((SIGMA_X, SIGMA_Y),) * 3,
+        )
+    # squares to the identity but is not Hermitian, so it is no observable
+    with pytest.raises(ValueError, match="not Hermitian"):
+        QuantumStrategy(
+            state=bell_state(),
+            observables=((np.array([[1.0, 0.5], [0.0, -1.0]]), SIGMA_X), (SIGMA_Z, SIGMA_X)),
+        )
+    with pytest.raises(ValueError, match="non-finite"):
+        QuantumStrategy(
+            state=bell_state(),
+            observables=((np.array([[np.nan, 0.0], [0.0, -1.0]]), SIGMA_X), (SIGMA_Z, SIGMA_X)),
+        )
+    with pytest.raises(ValueError, match="square to the identity"):
+        QuantumStrategy(
+            state=bell_state(), observables=((2 * SIGMA_Z, SIGMA_X), (SIGMA_Z, SIGMA_X))
         )
 
 
