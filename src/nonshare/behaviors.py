@@ -194,16 +194,11 @@ def chsh_kernel() -> GameKernel:
 def lhv_behavior(model: LhvModel) -> Behavior:
     """Behavior generated by a hidden-variable model; always no-signalling."""
     n = model.n_parties
-    table = None
-    for lam, w in enumerate(model.weights):
-        prod = np.array(w)
-        for party in range(n):
-            resp = model.responses[party][lam]  # (inputs, outputs)
-            prod = np.multiply.outer(prod, resp)
-        # interleave to (inputs..., outputs...): axes come as (t1, x1, t2, x2, ...)
-        order = [2 * party for party in range(n)] + [2 * party + 1 for party in range(n)]
-        term = np.transpose(prod, order)
-        table = term if table is None else table + term
+    # sum over the hidden variable (axis 0) of w(l) prod_i p_i(x_i | t_i, l)
+    operands = [model.weights, [0]]
+    for party, resp in enumerate(model.responses):
+        operands += [resp, [0, 1 + party, 1 + n + party]]
+    table = np.einsum(*operands, list(range(1, 2 * n + 1)))
     return Behavior(
         n_parties=n,
         inputs_per_party=tuple(r.shape[1] for r in model.responses),

@@ -187,11 +187,8 @@ def cmd_verify_distance(args: argparse.Namespace) -> int:
 
 def cmd_game_separation(args: argparse.Namespace) -> int:
     kernel = behaviors.chsh_kernel()
-    bell = qkernel.bell_strategy()
-    p12_q = qkernel.born_behavior(bell)
-    a12_q = behaviors.game_score(p12_q, kernel)
-    (a0, a1), (b0, b1) = bell.observables
-    s12_q = qkernel.chsh_score(bell.state, a0, a1, b0, b1)
+    a12_q = behaviors.game_score(qkernel.born_behavior(qkernel.bell_strategy()), kernel)
+    s12_q = 8.0 * a12_q - 4.0
     if abs(s12_q - frontier.TSIRELSON) < 1e-12:
         # saturation verified: the pair-score trade-off pins the partner
         # score to 0, dodging the square-root amplification of float dust

@@ -16,12 +16,11 @@ from math import cos, sin
 
 import numpy as np
 
-from .behaviors import Behavior
+from .behaviors import Behavior, chsh_kernel, game_score, marginal
 from .frontier import SQRT2, TSIRELSON  # TSIRELSON is re-exported for callers
 
 HERMITICITY_TOL = 1e-10
 NORM_TOL = 1e-12
-IMAG_TOL = 1e-8
 
 I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -110,24 +109,6 @@ class QuantumStrategy:
         return len(self.observables)
 
 
-def expectation(state: Ket | DensityOp, obs: np.ndarray) -> float:
-    """Real expectation value <obs> in the given state.
-
-    Raises if dimensions mismatch or the imaginary part exceeds 1e-8, which
-    signals a non-Hermitian operator.
-    """
-    obs = np.asarray(obs, dtype=complex)
-    if obs.shape != (state.dim, state.dim):
-        raise ValueError("operator dimension does not match the state")
-    if isinstance(state, Ket):
-        value = complex(np.vdot(state.amplitudes, obs @ state.amplitudes))
-    else:
-        value = complex(np.trace(state.matrix @ obs))
-    if abs(value.imag) > IMAG_TOL:
-        raise ValueError("expectation value has a non-negligible imaginary part")
-    return value.real
-
-
 def bell_state() -> Ket:
     """Maximally entangled two-qubit state (|00> + |11>)/sqrt(2)."""
     amp = np.zeros(4, dtype=complex)
@@ -184,14 +165,6 @@ def pair_settings() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return SIGMA_X, SIGMA_Y, o0, o1
 
 
-def _lift(obs: np.ndarray, party: int, n_parties: int) -> np.ndarray:
-    """Embed a single-qubit operator at a 1-based party slot."""
-    out = np.eye(1, dtype=complex)
-    for slot in range(1, n_parties + 1):
-        out = np.kron(out, obs if slot == party else I2)
-    return out
-
-
 def chsh_score(
     state: Ket | DensityOp,
     a0: np.ndarray,
@@ -204,19 +177,20 @@ def chsh_score(
     """Signed CHSH score <A0B0> + <A0B1> + <A1B0> - <A1B1> on a party pair.
 
     ``party_a`` and ``party_b`` are 1-based tensor slots; all parties are
-    qubits.
+    qubits and the others measure the identity. The score is read from the
+    pair's Born table as 8 w - 4, w its CHSH game value.
     """
     if party_a == party_b:
         raise ValueError("parties must be distinct")
-    n_parties = state.dim.bit_length() - 1
-    if 2 ** n_parties != state.dim:
-        raise ValueError("state dimension is not a power of 2")
+    n_parties = state.dim.bit_length() - 1  # QuantumStrategy checks dim == 2 ** n_parties
     if not (1 <= party_a <= n_parties and 1 <= party_b <= n_parties):
         raise ValueError("party index out of range")
-    a_ops = [_lift(a0, party_a, n_parties), _lift(a1, party_a, n_parties)]
-    b_ops = [_lift(b0, party_b, n_parties), _lift(b1, party_b, n_parties)]
-    corr = [[expectation(state, a_ops[x] @ b_ops[y]) for y in (0, 1)] for x in (0, 1)]
-    return corr[0][0] + corr[0][1] + corr[1][0] - corr[1][1]
+    observables = [(I2, I2)] * n_parties
+    observables[party_a - 1] = (a0, a1)
+    observables[party_b - 1] = (b0, b1)
+    strategy = QuantumStrategy(state=state, observables=tuple(observables))
+    pair = marginal(born_behavior(strategy), (party_a, party_b))
+    return 8.0 * game_score(pair, chsh_kernel()) - 4.0
 
 
 def born_behavior(strategy: QuantumStrategy) -> Behavior:
@@ -224,23 +198,23 @@ def born_behavior(strategy: QuantumStrategy) -> Behavior:
 
     The observables are binary and projective (checked by `QuantumStrategy`):
     outcomes +-1 map to projectors (I +- O)/2 and outcome labels follow the
-    0 <-> +1 convention. The result is fully no-signalling up to
-    floating-point error.
+    0 <-> +1 convention. P(x|t) = Tr(rho (x)_k P^k_{t_k x_k}) is one
+    contraction of rho, reshaped to (2,) * 2n, with each party's projector
+    stack of shape (setting, outcome, 2, 2). The result is fully
+    no-signalling up to floating-point error.
     """
-    n = strategy.n_parties
-    state = strategy.state if isinstance(strategy.state, DensityOp) else strategy.state.density()
-    projectors = [
-        [[_lift((I2 + obs) / 2.0, party, n), _lift((I2 - obs) / 2.0, party, n)] for obs in pair]
-        for party, pair in enumerate(strategy.observables, start=1)
-    ]
-    shape = (2,) * n + (2,) * n
-    table = np.zeros(shape)
-    for settings in np.ndindex(*(2,) * n):
-        for outcomes in np.ndindex(*(2,) * n):
-            op = np.eye(state.dim, dtype=complex)
-            for party in range(n):
-                op = op @ projectors[party][settings[party]][outcomes[party]]
-            table[settings + outcomes] = expectation(state, op)
+    n, state = strategy.n_parties, strategy.state
+    # contract rho, not psi* P psi: the ket form rounds the Bell table differently
+    if isinstance(state, Ket):
+        rho = np.outer(state.amplitudes, state.amplitudes.conj())
+    else:
+        rho = state.matrix
+    # axes: rho rows 0..n-1, rho columns n..2n-1, settings 2n.., outcomes 3n..
+    operands = [rho.reshape((2,) * 2 * n), list(range(2 * n))]
+    for k, pair in enumerate(strategy.observables):
+        stack = np.array([[(I2 + o) / 2.0, (I2 - o) / 2.0] for o in pair])
+        operands += [stack, [2 * n + k, 3 * n + k, n + k, k]]
+    table = np.einsum(*operands, list(range(2 * n, 4 * n))).real
     return Behavior(n_parties=n, inputs_per_party=(2,) * n, outputs_per_party=(2,) * n, table=table)
 
 

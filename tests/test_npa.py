@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nonshare import npa
+from nonshare.behaviors import marginal
 from nonshare.frontier import TSIRELSON, s13_max
 from nonshare.npa import (
     CSV_HEADER,
@@ -28,7 +29,7 @@ from nonshare.npa import (
     scan_to_csv,
     sdp_solve,
 )
-from nonshare.qkernel import SIGMA_X, SIGMA_Z, Ket, chsh_score, expectation
+from nonshare.qkernel import SIGMA_X, SIGMA_Z, Ket, QuantumStrategy, born_behavior, chsh_score
 from test_acceptance import REFERENCE_ROWS
 
 STRUCTURE = build_structure()
@@ -192,7 +193,8 @@ def tilted_scores(alpha, angles, amplitudes):
     amps = np.asarray(amplitudes, dtype=float)
     psi = Ket(amps / np.linalg.norm(amps))
     a0, a1, b0, b1, c0, c1 = (cos(t) * SIGMA_Z + sin(t) * SIGMA_X for t in angles)
-    tilt = alpha * expectation(psi, np.kron(a0, np.eye(4)))
+    p1 = marginal(born_behavior(QuantumStrategy(psi, ((a0, a1), (b0, b1), (c0, c1)))), (1,))
+    tilt = alpha * (p1.table[0, 0] - p1.table[0, 1])  # <A0>, label 0 <-> +1
     return (tilt + chsh_score(psi, a0, a1, b0, b1, party_a=1, party_b=2),
             tilt + chsh_score(psi, a0, a1, c0, c1, party_a=1, party_b=3))
 

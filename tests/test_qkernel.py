@@ -20,7 +20,6 @@ from nonshare.qkernel import (
     bell_strategy,
     born_behavior,
     chsh_score,
-    expectation,
     pair_settings,
     tightness_state,
     werner_state,
@@ -53,14 +52,6 @@ def test_density_validation():
         DensityOp(np.eye(2))  # trace 2
     with pytest.raises(ValueError, match="non-finite"):
         DensityOp(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-def test_expectation_real_guard():
-    k = Ket(np.array([1.0, 1.0]) / sqrt(2))
-    assert expectation(k, SIGMA_X) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        # non-Hermitian operator leaks an imaginary part
-        expectation(k, np.array([[0.0, 1.0j], [0.0, 0.0]]))
 
 
 def test_bell_score_saturates_tsirelson():
@@ -112,6 +103,46 @@ def test_born_behavior_is_no_signalling_and_normalized():
         p = born_behavior(strat)
         report = check_no_signalling(p)
         assert report.max_residual < 1e-12
+
+
+def reference_born_table(strategy):
+    """tr(rho kron(projectors)) cell by cell, with rho as a matrix."""
+    n = strategy.n_parties
+    state = strategy.state
+    rho = state.density().matrix if isinstance(state, Ket) else state.matrix
+    table = np.zeros((2,) * 2 * n)
+    for settings in np.ndindex(*(2,) * n):
+        for outcomes in np.ndindex(*(2,) * n):
+            op = np.eye(1)
+            for (o0, o1), t, x in zip(strategy.observables, settings, outcomes):
+                obs = o1 if t else o0
+                op = np.kron(op, (np.eye(2) + (-1) ** x * obs) / 2.0)
+            table[settings + outcomes] = np.trace(rho @ op).real
+    return table
+
+
+@pytest.mark.parametrize("n_parties", [2, 3])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_born_behavior_matches_reference_contraction(n_parties, mixed):
+    # complex states and sigma_Y components make rho non-symmetric, so a
+    # contraction with rho's indices swapped (tr(rho^T P)) differs here
+    rng = np.random.default_rng(29 + n_parties)
+    dim = 2**n_parties
+    for _ in range(4):
+        vectors = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+        if mixed:
+            rho = vectors @ vectors.conj().T
+            state = DensityOp(rho / np.trace(rho).real)
+        else:
+            state = Ket(vectors[:, 0] / np.linalg.norm(vectors[:, 0]))
+        axes = rng.normal(size=(n_parties, 2, 3))
+        axes /= np.linalg.norm(axes, axis=2, keepdims=True)
+        observables = tuple(
+            tuple(v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z for v in pair) for pair in axes
+        )
+        strategy = QuantumStrategy(state=state, observables=observables)
+        reference = reference_born_table(strategy)
+        assert np.max(np.abs(born_behavior(strategy).table - reference)) < 1e-14
 
 
 def test_born_behavior_matches_bell_correlators():
@@ -167,3 +198,8 @@ def test_chsh_score_party_validation():
         chsh_score(bell_state(), a0, a1, b0, b1, party_a=1, party_b=1)
     with pytest.raises(ValueError):
         chsh_score(bell_state(), a0, a1, b0, b1, party_a=1, party_b=3)
+    # the observables get the checks of every strategy
+    with pytest.raises(ValueError, match="non-finite"):
+        chsh_score(bell_state(), np.array([[np.nan, 0.0], [0.0, 1.0]]), a1, b0, b1)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        chsh_score(bell_state(), np.array([[1.0, 0.5], [0.0, -1.0]]), a1, b0, b1)
