@@ -20,9 +20,7 @@ The module needs numpy only.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
-from itertools import pairwise
 from math import isfinite, sqrt
 from typing import NamedTuple
 
@@ -224,22 +222,22 @@ class _SvecOps:
 
     def __init__(self, d: int) -> None:
         self.d = d
-        self.rows, self.cols = np.tril_indices(d)
-        self.scale = np.where(self.rows == self.cols, 1.0, SQRT2)
+        rows, cols = np.tril_indices(d)
+        self.tril = rows * d + cols  # flat index of each svec slot's entry
+        self.scale = np.where(rows == cols, 1.0, SQRT2)
+        # slot[i, j] is the svec slot of entry (max(i, j), min(i, j))
+        self.slot = np.empty((d, d), dtype=np.intp)
+        self.slot[rows, cols] = self.slot[cols, rows] = np.arange(rows.size)
 
     @property
     def dim(self) -> int:
-        return self.rows.size
+        return self.tril.size
 
     def svec(self, mat: np.ndarray) -> np.ndarray:
-        return mat[self.rows, self.cols] * self.scale
+        return mat.take(self.tril) * self.scale
 
     def smat(self, vec: np.ndarray) -> np.ndarray:
-        mat = np.zeros((self.d, self.d))
-        mat[self.rows, self.cols] = vec / self.scale
-        mat = mat + mat.T
-        mat[np.diag_indices(self.d)] *= 0.5
-        return mat
+        return (vec / self.scale)[self.slot]
 
 
 @dataclass(frozen=True)
@@ -268,7 +266,7 @@ class ConicData:
 def _conic_data(prob: MomentProblem, ops: _SvecOps) -> ConicData:
     """The PSD block pins the svec of Gamma(x) = G0 + sum_k x_k G_k with G0
     the identity contribution."""
-    entry_tril = prob.structure.entry_vars[ops.rows, ops.cols]
+    entry_tril = prob.structure.entry_vars.take(ops.tril)
     constant = entry_tril < 0
     return ConicData(
         a0=-prob.constraint,
@@ -323,9 +321,17 @@ def lu_solve(f: KKTFactor, r: np.ndarray) -> np.ndarray:
     r_x, r_y, r_t = r[:n], r[n:-1], r[-1]
     h = _k_solve(f.e, f.ea, f.pivot, r_x - data.rmatvec(r_y) / sigma)
     w_t = (r_t + (data.b @ r_y) / sigma + f.d @ h) / f.tau_pivot
-    w_x = h - f.p * w_t
-    w_y = (r_y + data.matvec(w_x) - data.b * w_t) / sigma
-    return np.concatenate([w_x, w_y, [w_t]])
+    w = np.empty_like(r)
+    w_x, w_y = w[:n], w[n:-1]
+    np.subtract(h, f.p * w_t, out=w_x)
+    # w_y = (r_y + A w_x - b w_t) / sigma, with A w_x written in place
+    w_y[0] = data.a0 @ w_x
+    np.multiply(data.vals, w_x[data.cols], out=w_y[1:])
+    w_y += r_y
+    w_y -= data.b * w_t
+    w_y /= sigma
+    w[-1] = w_t
+    return w
 
 
 def moment_matrix(prob: MomentProblem, x: np.ndarray) -> np.ndarray:
@@ -391,8 +397,14 @@ def sdp_solve(
     C = R^n x (R+ x PSD) x R+ and the skew optimality operator Q; the metric
     weights the y block by sigma, re-balanced when the primal and dual
     residuals drift apart. The fixed-point sequence is Anderson-accelerated
-    with a residual-decrease safeguard. Termination uses unscaled residual
-    and gap thresholds eps_abs + eps_rel * (1 + scale).
+    (memory 10) with a residual-decrease safeguard. Each difference of
+    residuals g and of z + g enters a preallocated history once, when its
+    iterate does; the history shifts one column when full, is solved and
+    applied through views of its columns in use, and empties on a sigma
+    re-balance. Every 50 iterations, and at the end, the iterate is
+    recovered from the projection of z that the last step already made.
+    Termination uses unscaled residual and gap thresholds
+    eps_abs + eps_rel * (1 + scale).
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
@@ -414,7 +426,7 @@ def sdp_solve(
         u[n] = max(z[n], 0.0)
         mat = ops.smat(z[n + 1 : n + m])
         eigvals, eigvecs = np.linalg.eigh(mat)
-        np.clip(eigvals, 0.0, None, out=eigvals)
+        np.maximum(eigvals, 0.0, out=eigvals)
         u[n + 1 : n + m] = ops.svec((eigvecs * eigvals) @ eigvecs.T)
         u[-1] = max(z[-1], 0.0)
         return u
@@ -423,24 +435,25 @@ def sdp_solve(
     m_diag, lu = factor(sigma)
     relax = 1.5
 
-    def step_residual(z: np.ndarray) -> np.ndarray:
+    def step(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """u = project(z), the fixed-point residual g at z and |g|."""
         u = project(z)
         w = lu_solve(lu, m_diag * (2.0 * u - z))
-        return relax * (w - u)
+        g = relax * (w - u)
+        return u, g, sqrt(g @ g)
 
-    def recover(z: np.ndarray):
-        """u = project(z), the unscaled slack and the iterate (x, y, pres,
-        dres) scaled by tau, or None when tau <= 1e-12."""
-        u = project(z)
+    def recover(z: np.ndarray, u: np.ndarray):
+        """The unscaled slack and the iterate (x, y, pres, dres) scaled by
+        tau, or None when tau <= 1e-12, from z and u = project(z)."""
         slack_raw = sigma * (u[n : n + m] - z[n : n + m])
         tau = u[-1]
         if tau <= 1e-12:
-            return u, slack_raw, None
+            return slack_raw, None
         x = u[:n] / tau
         y = u[n : n + m] / tau
         pres = float(np.linalg.norm(data.matvec(x) + slack_raw / tau - b_vec))
         dres = float(np.linalg.norm(data.rmatvec(y) + c_vec))
-        return u, slack_raw, (x, y, pres, dres)
+        return slack_raw, (x, y, pres, dres)
 
     z = np.zeros(dim)
     z[-1] = 1.0
@@ -452,29 +465,42 @@ def sdp_solve(
     aa_memory = 10
     status = "optimal_inaccurate"
     iterations = max_iters
-    # z and g are rebound, never written in place, while the history holds them
-    z_hist: deque[np.ndarray] = deque(maxlen=aa_memory + 1)
-    g_hist: deque[np.ndarray] = deque(maxlen=aa_memory + 1)
-    g = step_residual(z)
+    # Anderson history, oldest column first: column j of dg_hist is
+    # g_(j+1) - g_j and of dzg_hist is (z_(j+1) - z_j) + (g_(j+1) - g_j);
+    # k columns are in use. z and g are rebound, never written in place,
+    # while z_prev and g_prev hold them.
+    hist = np.empty((2, dim, aa_memory))
+    dg_hist, dzg_hist = hist
+    hist_flat = hist.reshape(-1)
+    k = 0
+    z_prev = g_prev = None
+    u, g, g_norm = step(z)
 
     for it in range(1, max_iters + 1):
-        z_hist.append(z)
-        g_hist.append(g)
+        if z_prev is not None:
+            if k == aa_memory:
+                # hist is row-major, so moving its data back by one element
+                # moves every column one place left; column k - 1 is
+                # overwritten below
+                hist_flat[:-1] = hist_flat[1:]
+            else:
+                k += 1
+            dg = np.subtract(g, g_prev, out=dg_hist[:, k - 1])
+            np.add(z - z_prev, dg, out=dzg_hist[:, k - 1])
+        z_prev, g_prev = z, g
         accepted = False
-        if len(z_hist) >= 3:
-            dz = np.stack([b - a for a, b in pairwise(z_hist)], axis=1)
-            dg = np.stack([b - a for a, b in pairwise(g_hist)], axis=1)
-            coeff, *_ = np.linalg.lstsq(dg, g, rcond=None)
-            z_aa = z + g - (dz + dg) @ coeff
-            g_aa = step_residual(z_aa)
-            if np.linalg.norm(g_aa) < np.linalg.norm(g):
-                z, g, accepted = z_aa, g_aa, True
+        if k >= 2:
+            coeff, *_ = np.linalg.lstsq(dg_hist[:, :k], g, rcond=None)
+            z_aa = z + g - dzg_hist[:, :k] @ coeff
+            u_aa, g_aa, g_aa_norm = step(z_aa)
+            if g_aa_norm < g_norm:
+                z, u, g, g_norm, accepted = z_aa, u_aa, g_aa, g_aa_norm, True
         if not accepted:
             z = z + g
-            g = step_residual(z)
+            u, g, g_norm = step(z)
         if it % check_every != 0 and it != max_iters:
             continue
-        u, slack_raw, iterate = recover(z)
+        slack_raw, iterate = recover(z, u)
         u_y = u[n : n + m]
         pres = dres = np.inf
         if iterate is not None:
@@ -515,15 +541,16 @@ def sdp_solve(
                 # residual imbalance: a dominant primal residual calls for a
                 # smaller y-metric weight, and vice versa
                 new_sigma = sigma / balance
-                z_hist.clear()
-                g_hist.clear()
+                k = 0
+                z_prev = g_prev = None
                 z[n : n + m] = u_y - sigma * (u_y - z[n : n + m]) / new_sigma
                 sigma = new_sigma
                 m_diag, lu = factor(sigma)
-                g = step_residual(z)
+                u, g, g_norm = step(z)
 
-    # sigma may have been re-balanced at the last check, so recover from the final z
-    _, _, iterate = recover(z)
+    # u = project(z) holds for the final z too: a re-balance at the last
+    # check steps again from the moved z
+    _, iterate = recover(z, u)
     if status in ("infeasible", "unbounded") or iterate is None:
         nan, inf = float("nan"), float("inf")
         return MomentSolution(nan, nan, nan, inf, inf, -inf, status, False, iterations)
