@@ -404,7 +404,8 @@ def sdp_solve(
     re-balance. Every 50 iterations, and at the end, the iterate is
     recovered from the projection of z that the last step already made.
     Termination uses unscaled residual and gap thresholds
-    eps_abs + eps_rel * (1 + scale).
+    eps_abs + eps_rel * (1 + scale). Gamma(x) has unit diagonal, so |x_k| <= 1,
+    the relaxation is bounded and the check looks for no improving ray.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
@@ -416,12 +417,13 @@ def sdp_solve(
     b_vec, c_vec = data.b, data.c
     m, n = b_vec.size, c_vec.size
     dim = n + m + 1
+    sigma = 1.0
+    m_diag = np.concatenate([np.ones(n), np.full(m, sigma), [1.0]])
+    lu = lu_factor(data, sigma)
+    relax = 1.5
 
-    def factor(sig: float):
-        m_diag = np.concatenate([np.ones(n), np.full(m, sig), [1.0]])
-        return m_diag, lu_factor(data, sig)
-
-    def project(z: np.ndarray) -> np.ndarray:
+    def step(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """u = z projected onto C, the fixed-point residual g at z and |g|."""
         u = z.copy()
         u[n] = max(z[n], 0.0)
         mat = ops.smat(z[n + 1 : n + m])
@@ -429,42 +431,32 @@ def sdp_solve(
         np.maximum(eigvals, 0.0, out=eigvals)
         u[n + 1 : n + m] = ops.svec((eigvecs * eigvals) @ eigvecs.T)
         u[-1] = max(z[-1], 0.0)
-        return u
-
-    sigma = 1.0
-    m_diag, lu = factor(sigma)
-    relax = 1.5
-
-    def step(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """u = project(z), the fixed-point residual g at z and |g|."""
-        u = project(z)
         w = lu_solve(lu, m_diag * (2.0 * u - z))
         g = relax * (w - u)
         return u, g, sqrt(g @ g)
 
     def recover(z: np.ndarray, u: np.ndarray):
-        """The unscaled slack and the iterate (x, y, pres, dres) scaled by
-        tau, or None when tau <= 1e-12, from z and u = project(z)."""
-        slack_raw = sigma * (u[n : n + m] - z[n : n + m])
+        """The iterate (x, y, pres, dres) scaled by tau, or None when
+        tau <= 1e-12, from z and u = z projected onto C."""
         tau = u[-1]
         if tau <= 1e-12:
-            return slack_raw, None
+            return None
+        slack_raw = sigma * (u[n : n + m] - z[n : n + m])
         x = u[:n] / tau
         y = u[n : n + m] / tau
         pres = float(np.linalg.norm(data.matvec(x) + slack_raw / tau - b_vec))
         dres = float(np.linalg.norm(data.rmatvec(y) + c_vec))
-        return slack_raw, (x, y, pres, dres)
+        return x, y, pres, dres
 
     z = np.zeros(dim)
     z[-1] = 1.0
-    b_norm = float(np.linalg.norm(b_vec))
-    c_norm = float(np.linalg.norm(c_vec))
+    b_scale = 1.0 + float(np.linalg.norm(b_vec))
+    c_scale = 1.0 + float(np.linalg.norm(c_vec))
     check_every = 50
     next_adapt = 200
     eps_cert = 1e-10
     aa_memory = 10
     status = "optimal_inaccurate"
-    iterations = max_iters
     # Anderson history, oldest column first: column j of dg_hist is
     # g_(j+1) - g_j and of dzg_hist is (z_(j+1) - z_j) + (g_(j+1) - g_j);
     # k columns are in use. z and g are rebound, never written in place,
@@ -500,8 +492,7 @@ def sdp_solve(
             u, g, g_norm = step(z)
         if it % check_every != 0 and it != max_iters:
             continue
-        slack_raw, iterate = recover(z, u)
-        u_y = u[n : n + m]
+        iterate = recover(z, u)
         pres = dres = np.inf
         if iterate is not None:
             x, y, pres, dres = iterate
@@ -509,33 +500,22 @@ def sdp_solve(
             dobj = float(-b_vec @ y)
             gap = abs(pobj - dobj)
             if (
-                pres <= eps_abs + eps_rel * (1.0 + b_norm)
-                and dres <= eps_abs + eps_rel * (1.0 + c_norm)
+                pres <= eps_abs + eps_rel * b_scale
+                and dres <= eps_abs + eps_rel * c_scale
                 and gap <= eps_abs + eps_rel * (1.0 + abs(pobj) + abs(dobj))
             ):
                 status = "optimal"
-                iterations = it
                 break
+        u_y = u[n : n + m]
         bty = float(b_vec @ u_y)
         if bty < -1e-12:
             y_cert = u_y / (-bty)
             if float(np.linalg.norm(data.rmatvec(y_cert))) <= eps_cert:
                 status = "infeasible"
-                iterations = it
-                break
-        ctx = float(c_vec @ u[:n])
-        if ctx < -1e-12:
-            x_cert = u[:n] / (-ctx)
-            s_cert = slack_raw / (-ctx)
-            if float(np.linalg.norm(data.matvec(x_cert) + s_cert)) <= eps_cert:
-                status = "unbounded"
-                iterations = it
                 break
         if it >= next_adapt and np.isfinite(pres) and np.isfinite(dres):
             next_adapt *= 2
-            pres_rel = pres / (1.0 + b_norm)
-            dres_rel = dres / (1.0 + c_norm)
-            ratio = pres_rel / max(dres_rel, 1e-300)
+            ratio = (pres / b_scale) / max(dres / c_scale, 1e-300)
             balance = float(np.clip(sqrt(ratio), 0.1, 10.0))
             if abs(balance - 1.0) > 1e-3:
                 # residual imbalance: a dominant primal residual calls for a
@@ -545,15 +525,16 @@ def sdp_solve(
                 z_prev = g_prev = None
                 z[n : n + m] = u_y - sigma * (u_y - z[n : n + m]) / new_sigma
                 sigma = new_sigma
-                m_diag, lu = factor(sigma)
+                m_diag[n : n + m] = sigma
+                lu = lu_factor(data, sigma)
                 u, g, g_norm = step(z)
 
-    # u = project(z) holds for the final z too: a re-balance at the last
-    # check steps again from the moved z
-    _, iterate = recover(z, u)
-    if status in ("infeasible", "unbounded") or iterate is None:
+    # u = z projected onto C holds for the final z too: a re-balance at the
+    # last check steps again from the moved z
+    iterate = recover(z, u)
+    if status == "infeasible" or iterate is None:
         nan, inf = float("nan"), float("inf")
-        return MomentSolution(nan, nan, nan, inf, inf, -inf, status, False, iterations)
+        return MomentSolution(nan, nan, nan, inf, inf, -inf, status, False, it)
     x, y, pres, dres = iterate
     primal = float(-(c_vec @ x))
     dual = float(b_vec @ y)
@@ -566,7 +547,7 @@ def sdp_solve(
         min_eig=float(np.linalg.eigvalsh(moment_matrix(prob, x))[0]),
         status=status,
         certified=False,
-        iterations=iterations,
+        iterations=it,
     )
     return replace(sol, certified=certify_point(sol))
 
@@ -623,17 +604,9 @@ def alpha0_report(rows: list[ScanRow]) -> SanityReport:
     )
 
 
-def alpha0_sanity(
-    grid_points: int = 60,
-    *,
-    eps_abs: float = DEFAULT_EPS_ABS,
-    eps_rel: float = DEFAULT_EPS_REL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> SanityReport:
+def alpha0_sanity(grid_points: int = 60, *, max_iters: int = DEFAULT_MAX_ITERS) -> SanityReport:
     """Deviation of certified untilted bounds from sqrt(8 - s^2)."""
-    return alpha0_report(
-        scan([0.0], grid_points, eps_abs=eps_abs, eps_rel=eps_rel, max_iters=max_iters)
-    )
+    return alpha0_report(scan([0.0], grid_points, max_iters=max_iters))
 
 
 CSV_HEADER = "alpha,s,primal,dual,gap,max_residual,min_eig,status,certified"

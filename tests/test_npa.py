@@ -32,6 +32,7 @@ from nonshare.qkernel import SIGMA_X, SIGMA_Z, Ket, QuantumStrategy, born_behavi
 from test_acceptance import REFERENCE_ROWS
 
 STRUCTURE = build_structure()
+LEVEL_ONE = build_structure([()] + list(build_word_set()[1:7]))
 
 
 def test_bounds_formulas():
@@ -74,7 +75,10 @@ def test_structure_shape_and_symmetry():
     assert st.n_variables == 74
     assert st.entry_vars.shape == (22, 22)
     assert np.array_equal(st.entry_vars, st.entry_vars.T)
-    assert np.all(np.diag(st.entry_vars) == -1)  # w^† w = identity
+    # w^† w = identity: Gamma has unit diagonal at every level, so |x_k| <= 1,
+    # the relaxation is bounded and tr(Gamma) = d in dual_upper_bound
+    for structure in (st, LEVEL_ONE):
+        assert np.all(np.diag(structure.entry_vars) == -1)
     assert not st.entry_vars.flags.writeable
     variable = [st.variables.index(canonicalize(w)[0]) for w in (("B0", "A0"), ("A0", "B0"))]
     assert variable[0] == variable[1]
@@ -220,6 +224,16 @@ def test_reference_row_matches_its_source(alpha, s, recorded):
     assert recorded >= i13 - 5e-7
 
 
+@pytest.mark.parametrize("cap", [1, 50, 200])
+def test_sdp_solve_stops_at_the_iteration_cap(cap):
+    # the boundary row never meets tolerance; 50 is a check, and at 200 the
+    # final check also re-balances sigma and steps again
+    sol = sdp_solve(assemble(0.0, quantum_maximum(0.0), STRUCTURE), max_iters=cap)
+    assert sol.iterations == cap
+    assert sol.status == "optimal_inaccurate"
+    assert not sol.certified
+
+
 def test_sdp_solve_detects_infeasible_threshold():
     base = assemble(0.0, 2.5, STRUCTURE)
     impossible = replace(base, s=4.0)  # beyond any quantum score
@@ -228,9 +242,6 @@ def test_sdp_solve_detects_infeasible_threshold():
     assert not sol.certified
     assert not np.isfinite(sol.primal)
     assert np.isnan(sol.upper_bound)
-
-
-LEVEL_ONE = build_structure([()] + list(build_word_set()[1:7]))
 
 
 def dense_kkt(prob, sigma):
