@@ -153,20 +153,19 @@ def check_no_signalling(p: Behavior) -> NoSignallingReport:
     return NoSignallingReport(max_residual=worst, passed=worst <= NO_SIGNALLING_TOL)
 
 
-def relabel_13_to_12(p13: Behavior, reference: Behavior | None = None) -> Behavior:
+def relabel_13_to_12(p13: Behavior, reference: Behavior) -> Behavior:
     """Reinterpret a (1,3) pair behavior on the (1,2) index pair.
 
     The table is unchanged; the second slot's alphabets must match the
-    reference pair behavior when one is supplied.
+    reference pair behavior's.
     """
     if p13.n_parties != 2:
         raise ValueError("relabelling expects a 2-party behavior")
-    if reference is not None:
-        if (
-            p13.inputs_per_party[1] != reference.inputs_per_party[1]
-            or p13.outputs_per_party[1] != reference.outputs_per_party[1]
-        ):
-            raise ValueError("colluder alphabets do not match the authorized pair")
+    if (
+        p13.inputs_per_party[1] != reference.inputs_per_party[1]
+        or p13.outputs_per_party[1] != reference.outputs_per_party[1]
+    ):
+        raise ValueError("colluder alphabets do not match the authorized pair")
     return Behavior(
         n_parties=2,
         inputs_per_party=p13.inputs_per_party,
@@ -229,7 +228,6 @@ def deterministic_behaviors(
     Each player picks a response function t -> x, listed lexicographically in
     (x(0), x(1), ...); vertices run player-major along the leading axis. On
     binary alphabets f = 2 x(0) + x(1), so for 3 parties v = 16 f1 + 4 f2 + f3.
-    This indexing is load-bearing for the LP module.
     """
     n = len(inputs_per_party)
     table = np.ones(())

@@ -296,10 +296,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (extlp.LpInfeasibleError, extlp.LpUnboundedError, extlp.LpNumericalError) as exc:
+    except (extlp.LpInfeasibleError, extlp.LpNumericalError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -37,10 +37,6 @@ class LpInfeasibleError(RuntimeError):
     """The LP has no feasible point (meaningful signal for Classical class)."""
 
 
-class LpUnboundedError(RuntimeError):
-    """The LP objective is unbounded over the feasible region."""
-
-
 class LpNumericalError(RuntimeError):
     """The solver stopped without a trustworthy optimum."""
 
@@ -52,9 +48,7 @@ def _lp_minimum(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=(0, None))
     )
     if res.status == 2:
         raise LpInfeasibleError("LP infeasible: " + res.message)
-    if res.status == 3:
-        raise LpUnboundedError("LP unbounded: " + res.message)
-    if res.status != 0:
+    if res.status != 0:  # unbounded (3) too: every LP here has a finite optimum
         raise LpNumericalError(f"LP solver failure (status {res.status}): " + res.message)
     return float(res.fun)
 
@@ -105,14 +99,12 @@ class ExtensionProblem:
             a_eq, b_eq = _ns_extension_rows(basis, p12)
             pair13 = basis.sum(axis=(1, 4)) * (1.0 / i2)
         else:
-            tri = deterministic_behaviors(shape[:3], shape[3:])
-            pair_tables = tri[:, :, :, 0].sum(-1)
-            # vertex v = o2**i2 * f12 + f3, so the tables with f3 = 0 are the pair vertices
-            pair_verts = pair_tables[:: o2**i2]
+            pair_verts = deterministic_behaviors((i1, i2), (o1, o2))
             mix_eq, mix_rhs = _mixture_rows(pair_verts, p12)
             # raises LpInfeasibleError for nonclassical input
             _lp_minimum(np.zeros(len(pair_verts)), a_eq=mix_eq, b_eq=mix_rhs)
-            a_eq, b_eq = _mixture_rows(pair_tables, p12)
+            tri = deterministic_behaviors(shape[:3], shape[3:])
+            a_eq, b_eq = _mixture_rows(tri[:, :, :, 0].sum(-1), p12)
             pair13 = np.moveaxis(tri[:, :, 0].sum(-2), 0, -1)
         object.__setattr__(self, "a_eq", a_eq)
         object.__setattr__(self, "b_eq", b_eq)
@@ -200,6 +192,9 @@ def anticollusion_capacity(prob: ExtensionProblem) -> float:
     (min b.nu s.t. A' nu >= G h), giving one LP over (h, nu):
 
         maximize  <pi h, P12> - b.nu   s.t.  G h - A' nu <= 0, 0 <= h <= 1.
+
+    The optimum is finite: h is boxed and A x = b, x >= 0 is feasible (the
+    product extension, or the mixture found at construction).
     """
     i1, i2 = prob.authorized.inputs_per_party
     p12 = prob.authorized.table.reshape(-1)

@@ -88,18 +88,14 @@ def _reduce(word: Word) -> Word:
     return tuple(out)
 
 
-def canonicalize(word: Word) -> tuple[Word, bool]:
-    """Canonical variable key and whether the adjoint orientation was taken.
+def canonicalize(word: Word) -> Word:
+    """Canonical variable key of a word.
 
     The key is the lexicographically smaller of the reduced word and its
     reduced adjoint (letters reversed); real symmetrization identifies the
     two moments, so both map to one variable.
     """
-    forward = _reduce(word)
-    backward = _reduce(tuple(reversed(word)))
-    if backward < forward:
-        return backward, True
-    return forward, False
+    return min(_reduce(word), _reduce(tuple(reversed(word))))
 
 
 @dataclass(frozen=True)
@@ -131,7 +127,7 @@ def build_structure(words: list[Word] | None = None) -> MomentStructure:
     entry = np.full((n, n), -1, dtype=np.int64)
     for i, wi in enumerate(word_tuple):
         for j, wj in enumerate(word_tuple):
-            key, _ = canonicalize(tuple(reversed(wi)) + wj)
+            key = canonicalize(tuple(reversed(wi)) + wj)
             if key == ():
                 continue
             if key not in index:
@@ -154,7 +150,7 @@ def _score_vector(structure: MomentStructure, alpha: float, partner: str) -> np.
         (("A1", partner + "1"), -1.0),
     ]
     for word, coeff in terms:
-        key, _ = canonicalize(word)
+        key = canonicalize(word)
         if key not in lookup:
             raise ValueError(f"word set lacks a variable for {word}")
         vec[lookup[key]] += coeff
@@ -228,10 +224,6 @@ class _SvecOps:
         # slot[i, j] is the svec slot of entry (max(i, j), min(i, j))
         self.slot = np.empty((d, d), dtype=np.intp)
         self.slot[rows, cols] = self.slot[cols, rows] = np.arange(rows.size)
-
-    @property
-    def dim(self) -> int:
-        return self.tril.size
 
     def svec(self, mat: np.ndarray) -> np.ndarray:
         return mat.take(self.tril) * self.scale

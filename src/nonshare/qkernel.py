@@ -160,9 +160,8 @@ def pair_settings() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     the pair marginals are triplet-like, which flips the sign of <YY>
     relative to the Bell state and makes this order the maximizing one.
     """
-    o0 = (SIGMA_X + SIGMA_Y) / SQRT2
-    o1 = (SIGMA_X - SIGMA_Y) / SQRT2
-    return SIGMA_X, SIGMA_Y, o0, o1
+    a0, a1, b0, b1 = bell_settings()
+    return a0, a1, b1, b0
 
 
 def chsh_score(

@@ -7,13 +7,14 @@ import subprocess
 import sys
 from math import sqrt
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nonshare import behaviors
-from nonshare.cli import EXIT_INPUT, EXIT_OK, main
-from nonshare.frontier import TSIRELSON
+from nonshare import behaviors, extlp, npa
+from nonshare.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, EXIT_VERIFY, main
+from nonshare.frontier import TSIRELSON, s13_max
 
 
 def run_to_file(tmp_path, name, argv):
@@ -265,6 +266,23 @@ def test_npa_scan_alpha0_sanity_note(tmp_path, capsys):
     assert out.exists()
 
 
+def test_npa_scan_alpha0_sanity_failure_exits_3(monkeypatch, tmp_path, capsys):
+    # a closed form shifted by 0.01 puts every certified untilted row 1e-2 off
+    monkeypatch.setattr(npa, "s13_max", lambda s: s13_max(s) + 0.01)
+    code, out = run_to_file(
+        tmp_path, "scan0.csv",
+        ["npa-scan", "--alphas", "0", "--grid", "2", "--max-iters", "400"],
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_VERIFY
+    assert "certified 1/2, max deviation from sqrt(8-s^2) = 1.000e-02" in err
+    assert "alpha=0 sanity FAILED (deviation above 1e-3)" in err
+    # the CSV is written before the sanity check runs
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == npa.CSV_HEADER
+    assert len(lines) == 3
+
+
 def test_npa_scan_argument_errors(capsys):
     assert main(["npa-scan", "--alphas", "abc"]) == EXIT_INPUT
     assert main(["npa-scan", "--alphas", "2.5"]) == EXIT_INPUT
@@ -326,6 +344,43 @@ def test_verify_distance_jsonl(tmp_path, capsys):
     assert summary["copied_seed_exact"] is True
     assert main(["verify-distance", "--instances", "0"]) == EXIT_INPUT
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("status", [3, 4])
+def test_verify_distance_solver_failure_exits_4(monkeypatch, capsys, status):
+    # an unbounded status (3) is as much a numerical failure as any other
+    def failing_linprog(*args, **kwargs):
+        return SimpleNamespace(status=status, message="stub", fun=0.0)
+
+    monkeypatch.setattr(extlp, "linprog", failing_linprog)
+    assert main(["verify-distance", "--instances", "2"]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"solver error: LP solver failure (status {status}): stub\n"
+
+
+def test_verify_distance_inexact_witness_exits_3(monkeypatch, tmp_path, capsys):
+    # random_lhv_model keeps every probability dyadic so that C13 = A12 holds
+    # bit for bit; generic floats make the two scores round apart
+    def generic_model(rng):
+        k = rng.random((2, 4, 2))
+        return behaviors.LhvModel(
+            weights=rng.dirichlet(np.ones(4)),
+            responses=tuple(np.stack([r, 1.0 - r], axis=2) for r in k),
+        )
+
+    monkeypatch.setattr(extlp, "random_lhv_model", generic_model)
+    code, out = run_to_file(
+        tmp_path, "corpus.jsonl", ["verify-distance", "--instances", "2", "--seed", "0"]
+    )
+    assert code == EXIT_VERIFY
+    assert "copied-seed exact: False" in capsys.readouterr().err
+    # the corpus is written before the verdict
+    lines = out.read_text().strip().split("\n")
+    assert len(lines) == 3
+    summary = json.loads(lines[-1])
+    assert summary["copied_seed_exact"] is False
+    assert summary["max_discrepancy"] < 1e-6
 
 
 def test_game_separation_report(tmp_path):

@@ -57,14 +57,14 @@ def test_word_set_contents():
 
 
 def test_canonicalize_rules():
-    assert canonicalize(("B0", "A0")) == (("A0", "B0"), False)
-    assert canonicalize(("A0", "A0")) == ((), False)
-    assert canonicalize(("A1", "A0")) == (("A0", "A1"), True)
-    assert canonicalize(("A0", "A1", "A1")) == (("A0",), False)
-    assert canonicalize(("C0", "A1", "B0")) == (("A1", "B0", "C0"), False)
+    assert canonicalize(("B0", "A0")) == ("A0", "B0")
+    assert canonicalize(("A0", "A0")) == ()
+    assert canonicalize(("A1", "A0")) == ("A0", "A1")
+    assert canonicalize(("A0", "A1", "A1")) == ("A0",)
+    assert canonicalize(("C0", "A1", "B0")) == ("A1", "B0", "C0")
     # canonical keys are fixed points
-    key, _ = canonicalize(("C1", "B0", "A1", "A0"))
-    assert canonicalize(key)[0] == key
+    key = canonicalize(("C1", "B0", "A1", "A0"))
+    assert canonicalize(key) == key
     with pytest.raises(ValueError, match="unknown letter"):
         canonicalize(("D0",))
 
@@ -80,7 +80,7 @@ def test_structure_shape_and_symmetry():
     for structure in (st, LEVEL_ONE):
         assert np.all(np.diag(structure.entry_vars) == -1)
     assert not st.entry_vars.flags.writeable
-    variable = [st.variables.index(canonicalize(w)[0]) for w in (("B0", "A0"), ("A0", "B0"))]
+    variable = [st.variables.index(canonicalize(w)) for w in (("B0", "A0"), ("A0", "B0"))]
     assert variable[0] == variable[1]
     # every referenced variable id is in range
     used = st.entry_vars[st.entry_vars >= 0]
