@@ -70,12 +70,11 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if args.s12 is not None:
         _write_output(json.dumps(asdict(frontier.certify(args.s12)), indent=2) + "\n", args.out)
         return EXIT_OK
-    with open(args.trials, "r", encoding="utf-8") as fh:
-        batch = finitedata.batch_from_csv(fh.read())
+    counts = finitedata.read_trial_counts(args.trials)
     if args.estimator == "single_trial":
-        cert = finitedata.single_trial_lcb(batch, args.alpha)
+        cert = finitedata.single_trial_lcb(counts, args.alpha)
     else:
-        stats = finitedata.estimate_correlators(batch)
+        stats = finitedata.estimate_correlators(counts)
         cert = finitedata.lower_confidence_bound(stats, args.alpha)
     _write_output(finitedata.certificate_to_json(cert), args.out)
     return EXIT_OK

@@ -11,7 +11,10 @@ must pre-align the CHSH orientation.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
+from functools import partial
+from itertools import repeat
 from math import ceil, log, sqrt
 
 import numpy as np
@@ -30,7 +33,17 @@ _ROW_VALUES = np.array(
 )
 _ROWS = [",".join(map(str, row)) for row in _ROW_VALUES.tolist()]
 _ROW_CODES = {row: code for code, row in enumerate(_ROWS)}
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _cells(x, y, a, b):
+    """Index 4x + 2y + [a b = +1] into the count table over (x, y, [a b = +1])."""
+    return 4 * x + 2 * y + (a == b)
+
+
+_CODE_CELLS = _cells(*_ROW_VALUES.T)  # the cell of each row code
+
+# Bytes of a trial file (characters of a trial text) read at a time.
+CHUNK_SIZE = 1 << 16
 
 
 class EmptyCellError(ValueError):
@@ -54,9 +67,10 @@ class TrialBatch:
         n = x.size
         if not (y.size == a.size == b.size == n) or n == 0:
             raise ValueError("trial columns must be equal-length and nonempty")
-        if not (np.isin(x, (0, 1)).all() and np.isin(y, (0, 1)).all()):
+        if (x >> 1).any() or (y >> 1).any():
             raise ValueError("settings must be bits")
-        if not (np.isin(a, (-1, 1)).all() and np.isin(b, (-1, 1)).all()):
+        # |INT64_MIN| wraps to INT64_MIN, which is not 1 either
+        if not ((np.abs(a) == 1).all() and (np.abs(b) == 1).all()):
             raise ValueError("outcomes must be +-1")
         for name, arr in (("x", x), ("y", y), ("a", a), ("b", b)):
             arr.flags.writeable = False
@@ -124,21 +138,22 @@ def sample_behavior_trials(behavior: Behavior, n: int, seed: int) -> TrialBatch:
     return TrialBatch(x=x, y=y, a=a, b=b)
 
 
-def _cell_sums(batch: TrialBatch) -> tuple[np.ndarray, np.ndarray]:
+def _cell_sums(trials: TrialBatch | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Trials per setting cell and the sum of a b over each, both shape (2, 2).
 
-    Both are integers read from one count table over (x, y, [a b = +1]), so
-    a mean formed from them is exact up to its one division.
+    Both are integers read from one count table over (x, y, [a b = +1]):
+    the table itself, as `read_trial_counts` returns it, or the table of a
+    batch. A mean formed from them is exact up to its one division.
     """
-    table = np.bincount(
-        4 * batch.x + 2 * batch.y + (batch.a == batch.b), minlength=8
-    ).reshape(2, 2, 2)
-    return table.sum(axis=2), table[..., 1] - table[..., 0]
+    if isinstance(trials, TrialBatch):
+        cells = _cells(trials.x, trials.y, trials.a, trials.b)
+        trials = np.bincount(cells, minlength=8).reshape(2, 2, 2)
+    return trials.sum(axis=2), trials[..., 1] - trials[..., 0]
 
 
-def estimate_correlators(batch: TrialBatch) -> CorrelatorStats:
+def estimate_correlators(trials: TrialBatch | np.ndarray) -> CorrelatorStats:
     """Empirical correlators E_xy = mean(a b | x, y); refuses empty cells."""
-    counts, sums = _cell_sums(batch)
+    counts, sums = _cell_sums(trials)
     empty = np.argwhere(counts == 0)
     if empty.size:
         raise EmptyCellError(f"no trials with settings ({empty[0, 0]}, {empty[0, 1]})")
@@ -177,7 +192,7 @@ def lower_confidence_bound(stats: CorrelatorStats, alpha: float) -> FiniteDataCe
     )
 
 
-def single_trial_lcb(batch: TrialBatch, alpha: float) -> FiniteDataCertificate:
+def single_trial_lcb(trials: TrialBatch | np.ndarray, alpha: float) -> FiniteDataCertificate:
     """Single-trial certificate from Z_i = 4 (-1)^(x y) a b.
 
     Unbiased for the score only under uniform settings; the radius is
@@ -185,10 +200,11 @@ def single_trial_lcb(batch: TrialBatch, alpha: float) -> FiniteDataCertificate:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    _, sums = _cell_sums(batch)
+    counts, sums = _cell_sums(trials)
+    n = int(counts.sum())
     z_sum = 4 * int(sums[0, 0] + sums[0, 1] + sums[1, 0] - sums[1, 1])
-    radius = 4.0 * sqrt(2.0 * log(1.0 / alpha) / batch.n_trials)
-    return _certificate(z_sum / batch.n_trials, radius, alpha, "single_trial")
+    radius = 4.0 * sqrt(2.0 * log(1.0 / alpha) / n)
+    return _certificate(z_sum / n, radius, alpha, "single_trial")
 
 
 def samples_for_onset(s_true: float, alpha: float) -> int:
@@ -209,23 +225,147 @@ def batch_to_csv(batch: TrialBatch) -> str:
     return "x,y,a,b\n" + "\n".join(map(_ROWS.__getitem__, codes.tolist())) + "\n"
 
 
-def batch_from_csv(text: str) -> TrialBatch:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0].replace(" ", "") != "x,y,a,b":
+def _line_blocks(blocks: Iterable, breaks: tuple) -> Iterator:
+    """The concatenated blocks, cut after the last line break of each.
+
+    A block without a line break joins the next one, so no line spans two
+    blocks. Works on str and on bytes, with breaks of the same type.
+    """
+    rest = None
+    for block in blocks:
+        if rest:
+            block = rest + block
+        cut = max(map(block.rfind, breaks)) + 1
+        rest = block[cut:]
+        if cut:
+            yield block[:cut]
+    if rest:
+        yield rest
+
+
+def _decoded(blocks: Iterable[bytes]) -> Iterator[str]:
+    """UTF-8 blocks cut after line breaks, decoded one at a time."""
+    offset = 0
+    for block in blocks:
+        try:
+            text = block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # report the position in the whole file, as one decode of the file does
+            raise UnicodeDecodeError(
+                exc.encoding, bytes(offset) + block, offset + exc.start, offset + exc.end,
+                exc.reason,
+            ) from None
+        offset += len(block)
+        yield text
+
+
+def _blank(line: str) -> bool:
+    return not line or line.isspace()
+
+
+def _check_header(line: str) -> None:
+    if line.lstrip().replace(" ", "") != "x,y,a,b":
         raise ValueError("trial file must start with header x,y,a,b")
-    body = lines[1:]
-    if not body:
+
+
+def _trial_rows(blocks: Iterable[str]) -> Iterator[list[str]]:
+    """The row lines of trial-file text, one list per block, header checked.
+
+    Lines are those of `text.strip().splitlines()` for the whole text: blank
+    lines before the header are dropped, and so is trailing whitespace,
+    which only the file's last nonblank line loses. So each block's last
+    nonblank line waits for the next block, with the first nonempty blank
+    line after it (a blank line between rows is a malformed row, and the
+    first one stops the parse). Empty lines stay in the lists.
+    """
+    header = False
+    held: list[str] = []
+    for block in blocks:
+        lines = held + block.splitlines()
+        last = len(lines) - 1
+        while last >= 0 and _blank(lines[last]):
+            last -= 1
+        held = [ln for ln in lines[max(last, 0):] if ln][:2]
+        del lines[max(last, 0):]
+        if not header:
+            first = next((i for i, ln in enumerate(lines) if not _blank(ln)), len(lines))
+            if first == len(lines):
+                continue
+            _check_header(lines[first])
+            header = True
+            del lines[: first + 1]
+        yield lines
+    last_line = held[0].rstrip() if held else ""
+    if not header:
+        _check_header(last_line)
+    else:
+        yield [last_line]
+
+
+def _trial_codes(blocks: Iterable[str]) -> Iterator[np.ndarray]:
+    """Row codes 8x + 4y + 2[a=+1] + [b=+1] of trial-file text, one array per block.
+
+    The canonical rows of `batch_to_csv` are looked up; other spellings
+    (" +1", "01", ...) go through int() as written. A malformed row raises at
+    once. A row with a value out of range raises only after the whole text
+    is read, so that a malformed row anywhere comes first, then settings
+    that are not bits, then outcomes that are not +-1.
+    """
+    n_rows = 0
+    bad_settings = bad_outcomes = False
+    for lines in _trial_rows(blocks):
+        rows = list(filter(None, lines))
+        codes = np.fromiter(map(_ROW_CODES.get, rows, repeat(-1)), np.int64, len(rows))
+        invalid = []
+        for i in np.flatnonzero(codes < 0).tolist():
+            parts = rows[i].split(",")
+            if len(parts) != 4:
+                raise ValueError(f"malformed trial row: {rows[i]!r}")
+            x, y, a, b = map(int, parts)
+            if x not in (0, 1) or y not in (0, 1):
+                bad_settings = True
+            elif a not in (-1, 1) or b not in (-1, 1):
+                bad_outcomes = True
+            else:
+                codes[i] = 8 * x + 4 * y + 2 * (a == 1) + (b == 1)
+                continue
+            invalid.append(i)
+        n_rows += len(rows)
+        yield np.delete(codes, invalid) if invalid else codes
+    if not n_rows:
         raise ValueError("trial file has a header but no rows")
-    codes = np.array([_ROW_CODES.get(ln, -1) for ln in body], dtype=np.int64)
+    if bad_settings:
+        raise ValueError("settings must be bits")
+    if bad_outcomes:
+        raise ValueError("outcomes must be +-1")
+
+
+def batch_from_csv(text: str) -> TrialBatch:
+    """The trials of trial-file text in file order, parsed as `read_trial_counts` parses."""
+    blocks = (text[i : i + CHUNK_SIZE] for i in range(0, len(text), CHUNK_SIZE))
+    codes = np.concatenate(list(_trial_codes(_line_blocks(blocks, ("\n", "\r")))))
     data = _ROW_VALUES[codes]
-    # Other spellings (" +1", "01", ...) go through int() as written; a value
-    # outside int64 is clipped, which leaves it invalid for TrialBatch.
-    for i in np.flatnonzero(codes < 0).tolist():
-        parts = body[i].split(",")
-        if len(parts) != 4:
-            raise ValueError(f"malformed trial row: {body[i]!r}")
-        data[i] = [min(max(int(p), _INT64_MIN), _INT64_MAX) for p in parts]
     return TrialBatch(x=data[:, 0], y=data[:, 1], a=data[:, 2], b=data[:, 3])
+
+
+def read_trial_counts(path: str) -> np.ndarray:
+    """Count table over (x, y, [a b = +1]), shape (2, 2, 2), of a trial file.
+
+    The file is read CHUNK_SIZE bytes at a time and each block is dropped
+    once its rows are counted, so memory does not grow with the file. It
+    accepts and rejects what `batch_from_csv` does on the decoded text.
+    """
+    table = np.zeros(8, dtype=np.int64)
+    with open(path, "rb") as fh:
+        blocks = _decoded(_line_blocks(iter(partial(fh.read, CHUNK_SIZE), b""), (b"\n", b"\r")))
+        try:
+            for codes in _trial_codes(blocks):
+                table += np.bincount(_CODE_CELLS[codes], minlength=8)
+        except ValueError:
+            for _ in blocks:  # a byte that is not UTF-8, anywhere in the file, is reported first
+                pass
+            raise
+    return table.reshape(2, 2, 2)
 
 
 def certificate_to_json(cert: FiniteDataCertificate) -> str:

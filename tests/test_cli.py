@@ -117,6 +117,30 @@ def test_simulate_then_certify(tmp_path):
     assert json.loads(cert2.read_text())["estimator"] == "single_trial"
 
 
+def test_certify_trials_memory_does_not_grow_with_the_file(tmp_path):
+    # `certify --trials` reads its file in blocks into the count table; one
+    # that held the 9 MB file, its lines and its columns at once peaked about
+    # 148 MB above `frontier` in the same interpreter
+    trials = tmp_path / "trials.csv"
+    argv = ["simulate", "--strategy", "werner:0.9", "--n", "1000000", "--seed", "7"]
+    assert run_to_file(tmp_path, "trials.csv", argv)[0] == EXIT_OK
+    script = ("import resource, sys\n"
+              "from nonshare.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+
+    def peak_kb(*argv):
+        proc = subprocess.run([sys.executable, "-c", script, *argv, "--out",
+                               str(tmp_path / "out")], capture_output=True, text=True,
+                              timeout=300)
+        code, kb = proc.stdout.split()
+        assert int(code) == EXIT_OK, proc.stderr
+        return int(kb)
+
+    excess = peak_kb("certify", "--trials", str(trials)) - peak_kb("frontier", "--points", "5")
+    assert excess < 64 * 1024
+
+
 def test_simulate_determinism_and_lhv_source(tmp_path):
     argv = ["simulate", "--strategy", "bell", "--n", "300", "--seed", "11"]
     _, out1 = run_to_file(tmp_path, "s1.csv", argv)

@@ -7,7 +7,8 @@ from math import ceil, log, sqrt
 import numpy as np
 import pytest
 
-from nonshare import __version__
+from nonshare import __version__, finitedata
+from nonshare.cli import EXIT_INPUT, EXIT_OK, main
 from nonshare.finitedata import (
     ASSUMPTIONS,
     CorrelatorStats,
@@ -19,6 +20,7 @@ from nonshare.finitedata import (
     estimate_correlators,
     hoeffding_radius,
     lower_confidence_bound,
+    read_trial_counts,
     sample_behavior_trials,
     samples_for_onset,
     simulate_trials,
@@ -65,6 +67,22 @@ def test_trial_batch_validation():
     with pytest.raises(ValueError):
         TrialBatch(x=np.array([], dtype=int), y=np.array([], dtype=int),
                    a=np.array([], dtype=int), b=np.array([], dtype=int))
+
+
+def test_trial_batch_value_checks_are_exact():
+    # every int64 edge: a column accepts exactly its two values
+    edges = (-(2**63), -2, -1, 0, 1, 2, 2**63 - 1)
+    valid = {"x": (0, 1), "y": (0, 1), "a": (-1, 1), "b": (-1, 1)}
+    for column, accepted in valid.items():
+        for value in edges:
+            columns = {name: np.array([vals[1], vals[0]]) for name, vals in valid.items()}
+            columns[column] = np.array([accepted[1], value], dtype=np.int64)
+            if value in accepted:
+                assert TrialBatch(**columns).n_trials == 2
+            else:
+                message = "settings must be bits" if column in "xy" else "outcomes must be +-1"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    TrialBatch(**columns)
 
 
 def test_simulate_trials_deterministic_and_tagged():
@@ -219,6 +237,16 @@ def test_csv_round_trip():
         batch_from_csv("x,y,a,b\n-99999999999999999999,0,1,1\n")
 
 
+# Chunk sizes small enough that block boundaries fall inside every case.
+SMALL_CHUNKS = (1, 2, 3, 5, 8)
+
+
+def certify_file(tmp_path, data, estimator):
+    path = tmp_path / "trials.csv"
+    path.write_bytes(data)
+    return main(["certify", "--trials", str(path), "--estimator", estimator]), path
+
+
 @pytest.mark.parametrize(
     "text, columns",
     [
@@ -229,12 +257,28 @@ def test_csv_round_trip():
          [[0, 1, 0], [0, 1, 1], [1, -1, -1], [1, 1, -1]]),
         ("x,y,a,b\n01,0,1,-01\n", [[1], [0], [1], [-1]]),
         ("x,y,a,b\n1,1,-1,-1", [[1], [1], [-1], [-1]]),
+        # expectations below as the whole-text parser gave them
+        ("\t\nx,y,a,b\n0,0,1,1\n", [[0], [0], [1], [1]]),
+        ("\t x,y,a,b\n1,1,1,1\n", [[1], [1], [1], [1]]),
+        ("\n \n\nx,y,a,b\n1,0,1,-1\n", [[1], [0], [1], [-1]]),
+        ("x,y,a,b\n0,0,1,1\n  \n\t\n \n", [[0], [0], [1], [1]]),
+        ("x,y,a,b\n0,1,1,1\x0c1,1,-1,1\n", [[0, 1], [1, 1], [1, -1], [1, 1]]),
     ],
 )
-def test_csv_parser_accepts_odd_spellings(text, columns):
-    batch = batch_from_csv(text)
-    for field, expected in zip("xyab", columns):
-        assert np.array_equal(getattr(batch, field), np.array(expected, dtype=np.int64))
+def test_csv_parser_accepts_odd_spellings(text, columns, monkeypatch, tmp_path, capsys):
+    expected = TrialBatch(*(np.array(col, dtype=np.int64) for col in columns))
+    counts = np.bincount(4 * expected.x + 2 * expected.y + (expected.a == expected.b),
+                         minlength=8).reshape(2, 2, 2)
+    cert = certificate_to_json(single_trial_lcb(expected, 0.01))
+    for chunk in (finitedata.CHUNK_SIZE, *SMALL_CHUNKS):
+        monkeypatch.setattr(finitedata, "CHUNK_SIZE", chunk)
+        batch = batch_from_csv(text)
+        for field in "xyab":
+            assert np.array_equal(getattr(batch, field), getattr(expected, field))
+        code, path = certify_file(tmp_path, text.encode(), "single_trial")
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == cert
+        assert np.array_equal(read_trial_counts(str(path)), counts)
 
 
 @pytest.mark.parametrize(
@@ -249,12 +293,28 @@ def test_csv_parser_accepts_odd_spellings(text, columns):
         # every row is parsed before any value is checked
         ("x,y,a,b\n2,0,1,1\n0,0,a,1\n", "invalid literal for int() with base 10: 'a'"),
         ("x,y,a,b\n0,0,0,1\n0,2,1,1\n", "settings must be bits"),
+        # expectations below as the whole-text parser gave them: only the
+        # file's last line loses its trailing whitespace
+        ("x,y,a,b\n0,0,1,1\n0,0,1,\t", "invalid literal for int() with base 10: ''"),
+        ("x,y,a,b\n0,0,1,1\n  \n0,1,1,1\n", "malformed trial row: '  '"),
+        # a file that is not UTF-8 fails on its first bad byte, before any row
+        (b"x,y,a,b\n0,0,1,1\n0,1,1,1\n1,0,\xff1,1\n",
+         "'utf-8' codec can't decode byte 0xff in position 28: invalid start byte"),
+        (b"x,y,a,b\n0,0,1\n0,1,1,1\n\xe2\x82\n",
+         "'utf-8' codec can't decode bytes in position 22-23: invalid continuation byte"),
     ],
 )
-def test_csv_parser_rejects_bad_rows(text, message):
-    with pytest.raises(ValueError) as excinfo:
-        batch_from_csv(text)
-    assert str(excinfo.value) == message
+def test_csv_parser_rejects_bad_rows(text, message, monkeypatch, tmp_path, capsys):
+    for chunk in (finitedata.CHUNK_SIZE, *SMALL_CHUNKS):
+        monkeypatch.setattr(finitedata, "CHUNK_SIZE", chunk)
+        if isinstance(text, str):
+            with pytest.raises(ValueError) as excinfo:
+                batch_from_csv(text)
+            assert str(excinfo.value) == message
+        data = text.encode() if isinstance(text, str) else text
+        for estimator in ("correlator_wise", "single_trial"):
+            assert certify_file(tmp_path, data, estimator)[0] == EXIT_INPUT
+            assert capsys.readouterr() == ("", f"input error: {message}\n")
 
 
 def test_estimators_match_the_per_cell_reference():
