@@ -53,7 +53,7 @@ def _write_table(
 def cmd_frontier(args: argparse.Namespace) -> int:
     s_min = args.s_min
     s_max = args.s_max if args.s_max is not None else frontier.TSIRELSON
-    if not (0.0 <= s_min < s_max <= frontier.TSIRELSON + 1e-12) or args.points < 2:
+    if not (0.0 <= s_min < s_max <= frontier.TSIRELSON) or args.points < 2:
         raise ValueError("frontier range must satisfy 0 <= s-min < s-max <= 2*sqrt(2)")
     rows = []
     for s in map(float, np.linspace(s_min, s_max, args.points)):

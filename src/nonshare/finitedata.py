@@ -14,7 +14,7 @@ import json
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from math import ceil, log, sqrt
 
 import numpy as np
@@ -42,7 +42,7 @@ def _cells(x, y, a, b):
 
 _CODE_CELLS = _cells(*_ROW_VALUES.T)  # the cell of each row code
 
-# Bytes of a trial file (characters of a trial text) read at a time.
+# Bytes of a trial file read at a time.
 CHUNK_SIZE = 1 << 16
 
 
@@ -162,12 +162,16 @@ def estimate_correlators(trials: TrialBatch | np.ndarray) -> CorrelatorStats:
     return CorrelatorStats(e_hat=e_hat, n=counts, n_min=int(counts.min()), s_hat=float(s_hat))
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+
+
 def hoeffding_radius(n_min: int, alpha: float) -> float:
     """Score radius 4 sqrt(2 ln(8/alpha) / n_min) at total failure probability alpha."""
     if n_min < 1:
         raise ValueError("n_min must be at least 1")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     return 4.0 * sqrt(2.0 * log(8.0 / alpha) / n_min)
 
 
@@ -198,8 +202,7 @@ def single_trial_lcb(trials: TrialBatch | np.ndarray, alpha: float) -> FiniteDat
     Unbiased for the score only under uniform settings; the radius is
     4 sqrt(2 ln(1/alpha) / N).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     counts, sums = _cell_sums(trials)
     n = int(counts.sum())
     z_sum = 4 * int(sums[0, 0] + sums[0, 1] + sums[1, 0] - sums[1, 1])
@@ -214,8 +217,7 @@ def samples_for_onset(s_true: float, alpha: float) -> int:
     """
     if s_true <= 2.0:
         raise ValueError("onset unreachable: the true score must exceed 2")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     return ceil(32.0 * log(8.0 / alpha) / (s_true - 2.0) ** 2)
 
 
@@ -225,115 +227,87 @@ def batch_to_csv(batch: TrialBatch) -> str:
     return "x,y,a,b\n" + "\n".join(map(_ROWS.__getitem__, codes.tolist())) + "\n"
 
 
-def _line_blocks(blocks: Iterable, breaks: tuple) -> Iterator:
-    """The concatenated blocks, cut after the last line break of each.
+def _utf8_pieces(fh) -> Iterator[str]:
+    """The text of a UTF-8 file, CHUNK_SIZE bytes at a time, in pieces that end lines.
 
-    A block without a line break joins the next one, so no line spans two
-    blocks. Works on str and on bytes, with breaks of the same type.
+    Each piece but the last is cut after its last line feed or carriage
+    return, so no line spans two pieces. A byte that is not UTF-8 raises with
+    its position in the whole file, as one decode of the file does.
     """
-    rest = None
-    for block in blocks:
-        if rest:
-            block = rest + block
-        cut = max(map(block.rfind, breaks)) + 1
-        rest = block[cut:]
-        if cut:
-            yield block[:cut]
-    if rest:
-        yield rest
-
-
-def _decoded(blocks: Iterable[bytes]) -> Iterator[str]:
-    """UTF-8 blocks cut after line breaks, decoded one at a time."""
-    offset = 0
-    for block in blocks:
+    offset, rest = 0, b""
+    for block in chain(iter(partial(fh.read, CHUNK_SIZE), b""), [b""]):
+        data = rest + block
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1 if block else len(data)
+        piece, rest = data[:cut], data[cut:]
         try:
-            text = block.decode("utf-8")
+            text = piece.decode("utf-8")
         except UnicodeDecodeError as exc:
-            # report the position in the whole file, as one decode of the file does
             raise UnicodeDecodeError(
-                exc.encoding, bytes(offset) + block, offset + exc.start, offset + exc.end,
+                exc.encoding, bytes(offset) + piece, offset + exc.start, offset + exc.end,
                 exc.reason,
             ) from None
-        offset += len(block)
+        offset += cut
         yield text
 
 
-def _blank(line: str) -> bool:
-    return not line or line.isspace()
+def _trial_codes(pieces: Iterable[str]) -> Iterator[np.ndarray]:
+    """Indices into `_ROWS` of the rows of trial-file text, one array per piece.
 
-
-def _check_header(line: str) -> None:
-    if line.lstrip().replace(" ", "") != "x,y,a,b":
-        raise ValueError("trial file must start with header x,y,a,b")
-
-
-def _trial_rows(blocks: Iterable[str]) -> Iterator[list[str]]:
-    """The row lines of trial-file text, one list per block, header checked.
-
-    Lines are those of `text.strip().splitlines()` for the whole text: blank
-    lines before the header are dropped, and so is trailing whitespace,
-    which only the file's last nonblank line loses. So each block's last
-    nonblank line waits for the next block, with the first nonempty blank
-    line after it (a blank line between rows is a malformed row, and the
-    first one stops the parse). Empty lines stay in the lists.
+    Each piece but the last ends a line. The lines are those of
+    `text.strip().splitlines()` for the whole text, empty ones dropped: the
+    header x,y,a,b (spaces ignored), then one trial per row. So the last
+    nonblank line of a piece waits for the next piece, with the first
+    whitespace-only line after it (a malformed row if another row follows).
+    Canonical rows are looked up; other spellings (" +1", "01", ...) go
+    through int() as written. Errors are raised after the last piece, the
+    first that holds of: a bad header, a header with no rows, the first
+    malformed row, settings that are not bits, outcomes that are not +-1.
     """
-    header = False
+    header = error = None
     held: list[str] = []
-    for block in blocks:
-        lines = held + block.splitlines()
-        last = len(lines) - 1
-        while last >= 0 and _blank(lines[last]):
-            last -= 1
-        held = [ln for ln in lines[max(last, 0):] if ln][:2]
-        del lines[max(last, 0):]
-        if not header:
-            first = next((i for i, ln in enumerate(lines) if not _blank(ln)), len(lines))
-            if first == len(lines):
-                continue
-            _check_header(lines[first])
-            header = True
-            del lines[: first + 1]
-        yield lines
-    last_line = held[0].rstrip() if held else ""
-    if not header:
-        _check_header(last_line)
-    else:
-        yield [last_line]
-
-
-def _trial_codes(blocks: Iterable[str]) -> Iterator[np.ndarray]:
-    """Row codes 8x + 4y + 2[a=+1] + [b=+1] of trial-file text, one array per block.
-
-    The canonical rows of `batch_to_csv` are looked up; other spellings
-    (" +1", "01", ...) go through int() as written. A malformed row raises at
-    once. A row with a value out of range raises only after the whole text
-    is read, so that a malformed row anywhere comes first, then settings
-    that are not bits, then outcomes that are not +-1.
-    """
     n_rows = 0
     bad_settings = bad_outcomes = False
-    for lines in _trial_rows(blocks):
+    for piece in chain(pieces, [None]):
+        if piece is None:  # the text's last nonblank line loses its trailing whitespace
+            lines = [held[0].rstrip()] if held else []
+        else:
+            lines = held + piece.splitlines()
+            last = len(lines) - 1
+            while last > 0 and (not lines[last] or lines[last].isspace()):
+                last -= 1
+            held = list(filter(None, lines[last:]))[:2]
+            del lines[last:]
         rows = list(filter(None, lines))
+        if header is None:
+            first = next((i for i, ln in enumerate(rows) if not ln.isspace()), len(rows))
+            if first == len(rows):
+                continue
+            header = rows[first].lstrip().replace(" ", "")
+            del rows[: first + 1]
         codes = np.fromiter(map(_ROW_CODES.get, rows, repeat(-1)), np.int64, len(rows))
-        invalid = []
+        n_rows += len(rows)
         for i in np.flatnonzero(codes < 0).tolist():
             parts = rows[i].split(",")
-            if len(parts) != 4:
-                raise ValueError(f"malformed trial row: {rows[i]!r}")
-            x, y, a, b = map(int, parts)
+            try:
+                if len(parts) != 4:
+                    raise ValueError(f"malformed trial row: {rows[i]!r}")
+                x, y, a, b = map(int, parts)
+            except ValueError as exc:
+                error = error or str(exc)
+                continue
             if x not in (0, 1) or y not in (0, 1):
                 bad_settings = True
             elif a not in (-1, 1) or b not in (-1, 1):
                 bad_outcomes = True
             else:
-                codes[i] = 8 * x + 4 * y + 2 * (a == 1) + (b == 1)
-                continue
-            invalid.append(i)
-        n_rows += len(rows)
-        yield np.delete(codes, invalid) if invalid else codes
+                codes[i] = _ROW_CODES[f"{x},{y},{a},{b}"]
+        yield codes[codes >= 0]
+    if header != "x,y,a,b":
+        raise ValueError("trial file must start with header x,y,a,b")
     if not n_rows:
         raise ValueError("trial file has a header but no rows")
+    if error:
+        raise ValueError(error)
     if bad_settings:
         raise ValueError("settings must be bits")
     if bad_outcomes:
@@ -342,29 +316,21 @@ def _trial_codes(blocks: Iterable[str]) -> Iterator[np.ndarray]:
 
 def batch_from_csv(text: str) -> TrialBatch:
     """The trials of trial-file text in file order, parsed as `read_trial_counts` parses."""
-    blocks = (text[i : i + CHUNK_SIZE] for i in range(0, len(text), CHUNK_SIZE))
-    codes = np.concatenate(list(_trial_codes(_line_blocks(blocks, ("\n", "\r")))))
-    data = _ROW_VALUES[codes]
+    data = _ROW_VALUES[np.concatenate(list(_trial_codes([text])))]
     return TrialBatch(x=data[:, 0], y=data[:, 1], a=data[:, 2], b=data[:, 3])
 
 
 def read_trial_counts(path: str) -> np.ndarray:
     """Count table over (x, y, [a b = +1]), shape (2, 2, 2), of a trial file.
 
-    The file is read CHUNK_SIZE bytes at a time and each block is dropped
-    once its rows are counted, so memory does not grow with the file. It
-    accepts and rejects what `batch_from_csv` does on the decoded text.
+    Each piece of the file is dropped once its rows are counted, so memory
+    does not grow with the file. It accepts and rejects what `batch_from_csv`
+    does on the decoded text; a byte that is not UTF-8 is reported first.
     """
     table = np.zeros(8, dtype=np.int64)
     with open(path, "rb") as fh:
-        blocks = _decoded(_line_blocks(iter(partial(fh.read, CHUNK_SIZE), b""), (b"\n", b"\r")))
-        try:
-            for codes in _trial_codes(blocks):
-                table += np.bincount(_CODE_CELLS[codes], minlength=8)
-        except ValueError:
-            for _ in blocks:  # a byte that is not UTF-8, anywhere in the file, is reported first
-                pass
-            raise
+        for codes in _trial_codes(_utf8_pieces(fh)):
+            table += np.bincount(_CODE_CELLS[codes], minlength=8)
     return table.reshape(2, 2, 2)
 
 

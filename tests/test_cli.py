@@ -56,6 +56,11 @@ def test_frontier_rejects_bad_range(capsys):
     assert "input error" in capsys.readouterr().err
     assert main(["frontier", "--points", "1"]) == EXIT_INPUT
     assert main(["frontier", "--s-max", "3.0"]) == EXIT_INPUT
+    # one ulp above 2 sqrt(2) fails on the flag's own range, not deep in frontier.certify
+    capsys.readouterr()
+    assert main(["frontier", "--points", "3", "--s-max", "2.8284271247461907"]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "input error: frontier range must satisfy 0 <= s-min < s-max <= 2*sqrt(2)\n")
 
 
 def test_frontier_rerun_is_byte_identical(tmp_path):
@@ -124,21 +129,28 @@ def test_certify_trials_memory_does_not_grow_with_the_file(tmp_path):
     trials = tmp_path / "trials.csv"
     argv = ["simulate", "--strategy", "werner:0.9", "--n", "1000000", "--seed", "7"]
     assert run_to_file(tmp_path, "trials.csv", argv)[0] == EXIT_OK
+    # the same trials with the second row malformed: the reader still reads to the end
+    header, first, second, rest = trials.read_bytes().split(b"\n", 3)
+    broken = tmp_path / "broken.csv"
+    broken.write_bytes(b"\n".join([header, first, second + b",1", rest]))
     script = ("import resource, sys\n"
               "from nonshare.cli import main\n"
               "code = main(sys.argv[1:])\n"
               "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
 
-    def peak_kb(*argv):
+    def peak_kb(expected_code, *argv):
         proc = subprocess.run([sys.executable, "-c", script, *argv, "--out",
                                str(tmp_path / "out")], capture_output=True, text=True,
                               timeout=300)
         code, kb = proc.stdout.split()
-        assert int(code) == EXIT_OK, proc.stderr
-        return int(kb)
+        assert int(code) == expected_code, proc.stderr
+        return int(kb), proc.stderr
 
-    excess = peak_kb("certify", "--trials", str(trials)) - peak_kb("frontier", "--points", "5")
-    assert excess < 64 * 1024
+    base = peak_kb(EXIT_OK, "frontier", "--points", "5")[0]
+    assert peak_kb(EXIT_OK, "certify", "--trials", str(trials))[0] - base < 64 * 1024
+    kb, err = peak_kb(EXIT_INPUT, "certify", "--trials", str(broken))
+    assert err == f"input error: malformed trial row: {(second + b',1').decode()!r}\n"
+    assert kb - base < 64 * 1024
 
 
 def test_simulate_determinism_and_lhv_source(tmp_path):

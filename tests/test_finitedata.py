@@ -317,6 +317,79 @@ def test_csv_parser_rejects_bad_rows(text, message, monkeypatch, tmp_path, capsy
             assert capsys.readouterr() == ("", f"input error: {message}\n")
 
 
+def whole_text_trials(data: bytes) -> TrialBatch:
+    """Reference parser: the whole file decoded, split and checked at once."""
+    lines = [ln for ln in data.decode("utf-8").strip().splitlines() if ln]
+    if not lines or lines[0].replace(" ", "") != "x,y,a,b":
+        raise ValueError("trial file must start with header x,y,a,b")
+    if len(lines) == 1:
+        raise ValueError("trial file has a header but no rows")
+    values = []
+    for row in lines[1:]:
+        parts = row.split(",")
+        if len(parts) != 4:
+            raise ValueError(f"malformed trial row: {row!r}")
+        values.append([int(p) for p in parts])
+    x, y, a, b = zip(*values)
+    if not set(x + y) <= {0, 1}:
+        raise ValueError("settings must be bits")
+    if not set(a + b) <= {-1, 1}:
+        raise ValueError("outcomes must be +-1")
+    return TrialBatch(*(np.array(col, dtype=np.int64) for col in (x, y, a, b)))
+
+
+def generated_trial_file(rng) -> bytes:
+    """A short trial file mixing valid rows with odd spellings, breaks and faults."""
+    headers = ("x,y,a,b", " x , y , a , b ", "\tx,y,a,b", "x,y,a,b\t", "x;y;a;b", "")
+    odd = ("0, 1,+1,-1", "01,0,1,-01", " 1,1,-1,-1\t", "0,0,1,1 ", "2,0,1,1", "0,0,0,1",
+           "1_1,0,1,1", "0,0,1", "0,0,1,1,1", "a,0,1,1", "0,0,1,\t", "é,0,1,1",
+           "0,0,1,99999999999999999999", "-99999999999999999999,0,1,1", "", " ", "\t", "é")
+    valid = [f"{x},{y},{a},{b}" for x in (0, 1) for y in (0, 1) for a in (-1, 1) for b in (-1, 1)]
+    breaks = ("\r", "\r\n", "\x0c", "\x85", "\u2028", "\n \n", " ")
+    parts = [rng.choice(["", "\n", " \n\t"])]
+    parts.append(headers[0] if rng.random() < 0.75 else rng.choice(headers))
+    for _ in range(rng.integers(0, 12)):
+        parts.append("\n" if rng.random() < 0.7 else rng.choice(breaks))
+        parts.append(rng.choice(valid) if rng.random() < 0.94 else rng.choice(odd))
+    parts.append(rng.choice(["", "\n", "\r\n", "\n\n", " \t\n", "\n  "]))
+    data = "".join(map(str, parts)).encode()
+    if rng.random() < 0.1:
+        at = rng.integers(len(data) + 1)
+        data = data[:at] + rng.choice([b"\xff", b"\xe2\x82", b"\xc3"]) + data[at:]
+    return data
+
+
+def test_chunked_parser_matches_the_whole_text_parser(monkeypatch, tmp_path):
+    rng = np.random.default_rng(2024)
+    path = tmp_path / "trials.csv"
+    for _ in range(300):
+        data = generated_trial_file(rng)
+        path.write_bytes(data)
+        try:
+            expected = whole_text_trials(data)
+        except ValueError as exc:
+            counts = batch = (type(exc), str(exc))
+        else:
+            counts = np.bincount(4 * expected.x + 2 * expected.y + (expected.a == expected.b),
+                                 minlength=8).reshape(2, 2, 2).tolist()
+            batch = [getattr(expected, field).tolist() for field in "xyab"]
+        for chunk in (1, 2, 3, 5, 8, 13, 1 << 16):
+            monkeypatch.setattr(finitedata, "CHUNK_SIZE", chunk)
+            try:
+                got = read_trial_counts(str(path)).tolist()
+            except ValueError as exc:
+                got = (type(exc), str(exc))
+            assert got == counts, data
+        if isinstance(batch, tuple) and batch[0] is UnicodeDecodeError:
+            continue
+        try:
+            parsed = batch_from_csv(data.decode("utf-8"))
+            got = [getattr(parsed, field).tolist() for field in "xyab"]
+        except ValueError as exc:
+            got = (type(exc), str(exc))
+        assert got == batch, data
+
+
 def test_estimators_match_the_per_cell_reference():
     # reference: per-cell masks and the mean of Z = 4 (-1)^(x y) a b; all sums
     # are exact integers, so the count table must give the same floats
