@@ -231,14 +231,20 @@ def _utf8_pieces(fh) -> Iterator[str]:
     """The text of a UTF-8 file, CHUNK_SIZE bytes at a time, in pieces that end lines.
 
     Each piece but the last is cut after its last line feed or carriage
-    return, so no line spans two pieces. A byte that is not UTF-8 raises with
-    its position in the whole file, as one decode of the file does.
+    return, so no line spans two pieces. A block without one is held; only
+    the new block is searched and the held blocks are joined once, so a line
+    that spans many blocks costs linear time. A byte that is not UTF-8
+    raises with its position in the whole file, as one decode of the file
+    does.
     """
-    offset, rest = 0, b""
+    offset, held = 0, []
     for block in chain(iter(partial(fh.read, CHUNK_SIZE), b""), [b""]):
-        data = rest + block
-        cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1 if block else len(data)
-        piece, rest = data[:cut], data[cut:]
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
+        if block and not cut:
+            held.append(block)
+            continue
+        piece = b"".join([*held, block[:cut]])
+        held = [block[cut:]]
         try:
             text = piece.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -246,7 +252,7 @@ def _utf8_pieces(fh) -> Iterator[str]:
                 exc.encoding, bytes(offset) + piece, offset + exc.start, offset + exc.end,
                 exc.reason,
             ) from None
-        offset += cut
+        offset += len(piece)
         yield text
 
 
@@ -287,11 +293,11 @@ def _trial_codes(pieces: Iterable[str]) -> Iterator[np.ndarray]:
         codes = np.fromiter(map(_ROW_CODES.get, rows, repeat(-1)), np.int64, len(rows))
         n_rows += len(rows)
         for i in np.flatnonzero(codes < 0).tolist():
-            parts = rows[i].split(",")
             try:
-                if len(parts) != 4:
+                # counted before splitting: a long malformed row is not cut into fields
+                if rows[i].count(",") != 3:
                     raise ValueError(f"malformed trial row: {rows[i]!r}")
-                x, y, a, b = map(int, parts)
+                x, y, a, b = map(int, rows[i].split(","))
             except ValueError as exc:
                 error = error or str(exc)
                 continue

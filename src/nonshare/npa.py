@@ -9,20 +9,17 @@ parties, assembles the tilted pair scores
 and maximizes I13 subject to the moment matrix being positive semidefinite
 and I12 >= s. The relaxation is real symmetrized: one real variable per
 adjoint pair of canonical words, an outer approximation of the complex
-Hermitian problem. The embedded solver is a homogeneous self-dual conic
-splitting (Douglas-Rachford on the optimality embedding) with a structured
-KKT solve (block elimination, Sherman-Morrison on the threshold row and a
-scalar Schur step for tau; no dense factorization), PSD projection by
-eigendecomposition, and residual-balanced step-metric adaptation. Each
-solution also carries an upper bound proven from its dual vector alone.
-The module needs numpy only.
+Hermitian problem. The embedded solver is a primal-dual interior-point
+method (Nesterov-Todd directions, Mehrotra's predictor-corrector) whose
+Schur complement is assembled without a matrix product, so its output does
+not depend on the BLAS thread count. Each solution also carries an upper
+bound proven from its dual vector alone. The module needs numpy only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import isfinite, sqrt
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +36,14 @@ EPS_PSD = 1e-7
 DEFAULT_EPS_ABS = 1e-9
 DEFAULT_EPS_REL = 1e-9
 DEFAULT_MAX_ITERS = 100000
+
+BOUNDARY_BAND = 1e-6  # the slack that `assemble` allows above q(alpha)
+STEP_FRACTION = 0.9
+MIN_STEP = 1e-8
+STALL_ITERS = 10
+REFINE_STEPS = 4
+ROW_AIM = 0.7
+SCHUR_ROWS = 32
 
 
 def classical_bound(alpha: float) -> float:
@@ -232,100 +237,6 @@ class _SvecOps:
         return (vec / self.scale)[self.slot]
 
 
-@dataclass(frozen=True)
-class ConicData:
-    """Standard form min c.x, A x + slack = b, slack in R+ x PSD(d).
-
-    Row 0 of A carries the threshold inequality and is stored dense. Every
-    later row pins one svec slot of Gamma(x), which is one variable or the
-    constant 1, so it has at most one nonzero: ``vals[i]`` in column
-    ``cols[i]`` (0 and 0.0 for a constant slot).
-    """
-
-    a0: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return np.concatenate([[self.a0 @ x], self.vals * x[self.cols]])
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        return self.a0 * y[0] + np.bincount(self.cols, self.vals * y[1:], self.c.size)
-
-
-def _conic_data(prob: MomentProblem, ops: _SvecOps) -> ConicData:
-    """The PSD block pins the svec of Gamma(x) = G0 + sum_k x_k G_k with G0
-    the identity contribution."""
-    entry_tril = prob.structure.entry_vars.take(ops.tril)
-    constant = entry_tril < 0
-    return ConicData(
-        a0=-prob.constraint,
-        cols=np.where(constant, 0, entry_tril),
-        vals=np.where(constant, 0.0, -ops.scale),
-        b=np.concatenate([[-prob.s], np.where(constant, ops.scale, 0.0)]),
-        c=-prob.objective,
-    )
-
-
-class KKTFactor(NamedTuple):
-    """Block elimination of diag(1_n, sigma 1_m, 1) + Q for `lu_solve`."""
-
-    data: ConicData
-    sigma: float
-    e: np.ndarray  # diagonal part of K = I + A^T A / sigma
-    ea: np.ndarray  # a0 / e
-    pivot: float  # sigma + a0 . (a0 / e), the Sherman-Morrison pivot
-    p: np.ndarray  # K^-1 (c - A^T b / sigma)
-    d: np.ndarray  # c + A^T b / sigma
-    tau_pivot: float  # Schur complement of the tau entry
-
-
-def _k_solve(e: np.ndarray, ea: np.ndarray, pivot: float, v: np.ndarray) -> np.ndarray:
-    """K^-1 v by Sherman-Morrison on the diagonal plus the threshold row."""
-    return v / e - ea * ((ea @ v) / pivot)
-
-
-def lu_factor(data: ConicData, sigma: float) -> KKTFactor:
-    """Factor the KKT matrix diag(1_n, sigma 1_m, 1) + Q of the embedding,
-
-        Q = [[0, A^T, c], [-A, 0, b], [-c^T, -b^T, 0]].
-
-    Eliminating the y block leaves K = I + A^T A / sigma, which is diagonal
-    plus the rank-1 term of row 0 because every later row of A has at most
-    one nonzero; tau then follows from a scalar Schur complement.
-    """
-    a0, b, c = data.a0, data.b, data.c
-    e = 1.0 + np.bincount(data.cols, data.vals * data.vals, c.size) / sigma
-    ea = a0 / e
-    pivot = sigma + a0 @ ea
-    atb = data.rmatvec(b) / sigma
-    p = _k_solve(e, ea, pivot, c - atb)
-    d = c + atb
-    return KKTFactor(data, sigma, e, ea, pivot, p, d, 1.0 + (b @ b) / sigma + d @ p)
-
-
-def lu_solve(f: KKTFactor, r: np.ndarray) -> np.ndarray:
-    """Solve (diag(1_n, sigma 1_m, 1) + Q) w = r with a `lu_factor` result."""
-    data, sigma = f.data, f.sigma
-    n = data.c.size
-    r_x, r_y, r_t = r[:n], r[n:-1], r[-1]
-    h = _k_solve(f.e, f.ea, f.pivot, r_x - data.rmatvec(r_y) / sigma)
-    w_t = (r_t + (data.b @ r_y) / sigma + f.d @ h) / f.tau_pivot
-    w = np.empty_like(r)
-    w_x, w_y = w[:n], w[n:-1]
-    np.subtract(h, f.p * w_t, out=w_x)
-    # w_y = (r_y + A w_x - b w_t) / sigma, with A w_x written in place
-    w_y[0] = data.a0 @ w_x
-    np.multiply(data.vals, w_x[data.cols], out=w_y[1:])
-    w_y += r_y
-    w_y -= data.b * w_t
-    w_y /= sigma
-    w[-1] = w_t
-    return w
-
-
 def moment_matrix(prob: MomentProblem, x: np.ndarray) -> np.ndarray:
     """Gamma(x): identity at constant entries, x_k at entries of variable k."""
     entry = prob.structure.entry_vars
@@ -337,8 +248,13 @@ def moment_matrix(prob: MomentProblem, x: np.ndarray) -> np.ndarray:
 def dual_upper_bound(prob: MomentProblem, y: np.ndarray) -> float:
     """Upper bound on the relaxation's value proven from any dual vector y.
 
-    A, b and c are rebuilt from the problem; nothing else is trusted. With
-    ybar = y whose threshold entry is clipped at 0, every feasible x obeys
+    y = (w, svec Y) holds the multiplier w of the threshold row and the
+    matrix Y paired with Gamma. Write the relaxation as min c.x subject to
+    A x + slack = b, slack in R+ x PSD: row 0 is -constraint.x + slack_0 =
+    -s, and each later row pins one svec slot of Gamma(x), a variable
+    (-sqrt2 or -1 in its column) or the constant 1 (in b). A, b and c are
+    rebuilt from the problem; nothing else is trusted. With ybar = y whose
+    threshold entry is clipped at 0, every feasible x obeys
 
         -c.x = b.ybar - (A^T ybar + c).x - ybar.slack
              <= b.ybar + |A^T ybar + c|_1 + tr(Gamma) max(0, -lambda_min(Ybar)),
@@ -352,28 +268,234 @@ def dual_upper_bound(prob: MomentProblem, y: np.ndarray) -> float:
     d eps |Ybar|_F of the computed smat; the margin doubles both.
     """
     ops = _SvecOps(prob.structure.n_words)
-    data = _conic_data(prob, ops)
+    entry_tril = prob.structure.entry_vars.take(ops.tril)
+    constant = entry_tril < 0
+    cols = np.where(constant, 0, entry_tril)
+    vals = np.where(constant, 0.0, -ops.scale)
+    b = np.concatenate([[-prob.s], np.where(constant, ops.scale, 0.0)])
+    c = -prob.objective
     y_bar = np.array(y, dtype=float)
     y_bar[0] = max(y_bar[0], 0.0)
-    residual = data.rmatvec(y_bar) + data.c
+    residual = -prob.constraint * y_bar[0] + np.bincount(cols, vals * y_bar[1:], c.size) + c
     y_mat = ops.smat(y_bar[1:])
     trace = float(ops.d)
     value = (
-        data.b @ y_bar
+        b @ y_bar
         + np.abs(residual).sum()
         + trace * max(0.0, -float(np.linalg.eigvalsh(y_mat)[0]))
     )
     y_abs = np.abs(y_bar)
     magnitude = (
-        np.abs(data.b) @ y_abs
-        + np.abs(data.a0).sum() * y_abs[0]
-        + np.abs(data.vals) @ y_abs[1:]
-        + np.abs(data.c).sum()
+        np.abs(b) @ y_abs
+        + np.abs(prob.constraint).sum() * y_abs[0]
+        + np.abs(vals) @ y_abs[1:]
+        + np.abs(c).sum()
         + np.abs(residual).sum()
         + trace * np.linalg.norm(y_mat)
     )
     eps = np.finfo(float).eps
-    return float(value + 2.0 * (data.b.size + data.c.size + ops.d + 3) * eps * magnitude)
+    return float(value + 2.0 * (b.size + c.size + ops.d + 3) * eps * magnitude)
+
+
+class _GammaMap:
+    """The linear part of Gamma(x) = G0 + sum_k x_k G_k and its adjoint.
+
+    Variable k sits at a group of strictly lower entries (a, b) and at their
+    mirrors, so G_k = sum over the group of e_a e_b^T + e_b e_a^T; the groups
+    are stored sorted by variable, and <G_k, Y> is twice the sum of group
+    k's entries of a symmetric Y.
+    """
+
+    def __init__(self, entry: np.ndarray) -> None:
+        self.entry = entry
+        self.constant = entry < 0
+        rows, cols = np.tril_indices(entry.shape[0], -1)
+        var = entry[rows, cols]
+        order = np.argsort(var, kind="stable")
+        order = order[var[order] >= 0]
+        self.a, self.b, var = rows[order], cols[order], var[order]
+        self.flat = self.a * entry.shape[0] + self.b
+        self.starts = np.flatnonzero(np.diff(var, prepend=-1))
+        # both orientations (c, e) of every slot, grouped by variable
+        both = np.argsort(np.concatenate([var, var]), kind="stable")
+        self.c = np.concatenate([self.a, self.b])[both]
+        self.e = np.concatenate([self.b, self.a])[both]
+        self.col_starts = np.flatnonzero(np.diff(np.concatenate([var, var])[both], prepend=-1))
+        # `schur` writes SCHUR_ROWS rows of slot-pair products at a time here
+        self.products = np.empty((2, SCHUR_ROWS, self.c.size))
+
+    def linear(self, v: np.ndarray) -> np.ndarray:
+        """sum_k v_k G_k."""
+        return np.where(self.constant, 0.0, v[self.entry])
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """(<G_k, Y>)_k for a symmetric Y."""
+        return 2.0 * np.add.reduceat(y.take(self.flat), self.starts)
+
+    def schur(self, nt: np.ndarray) -> np.ndarray:
+        """M_kj = <G_k, nt G_j nt>, twice the sum of nt_ac nt_be over the
+        slots (a, b) of k and both orientations (c, e) of the slots of j.
+        Gathers, products and np.add.reduceat only: no matrix product, whose
+        rounding would depend on how many BLAS threads share it."""
+        rows = np.empty((self.a.size, self.starts.size))
+        for lo in range(0, self.a.size, SCHUR_ROWS):
+            hi = min(lo + SCHUR_ROWS, self.a.size)
+            p, q = self.products[:, : hi - lo]
+            # the indices are valid; mode "raise" would buffer `out` anew each call
+            np.take(nt[self.a[lo:hi]], self.c, axis=1, out=p, mode="clip")
+            np.take(nt[self.b[lo:hi]], self.e, axis=1, out=q, mode="clip")
+            p *= q
+            rows[lo:hi] = np.add.reduceat(p, self.col_starts, axis=1)
+        return 2.0 * np.add.reduceat(rows, self.starts, axis=0)
+
+
+def lu_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equilibrate the Schur complement M for `lu_solve`: (D, D M D) with
+    D = diag(M)^(-1/2). numpy reaches LAPACK's LU only through `solve`, so
+    the factorization itself runs in each `lu_solve` (74x74, tens of us)."""
+    scale = 1.0 / np.sqrt(np.diag(m))
+    return scale, m * np.multiply.outer(scale, scale)
+
+
+def lu_solve(factor: tuple[np.ndarray, np.ndarray], r: np.ndarray) -> np.ndarray:
+    """Solve M u = r by partial-pivoting LU of the equilibrated M."""
+    scale, equilibrated = factor
+    return scale * np.linalg.solve(equilibrated, scale * r)
+
+
+def _newton_step(gmap: _GammaMap, con: np.ndarray, w_mat: np.ndarray, z_mat: np.ndarray,
+                 w: float, z: float, r_dual: np.ndarray, r_row: float):
+    """One Nesterov-Todd step with Mehrotra's predictor-corrector: the step
+    lengths (tx, tw) of the moment and dual sides and the direction
+    (dx, dz, dW, dw).
+
+    The scaling g, with g^T Z g = g^-1 W g^-T = diag(v) and nt = g g^T (so
+    nt Z nt = W), comes from the SVD of chol(Z)^T chol(W). Eliminating dZ,
+    dW and the row leaves the Schur complement M = (<G_k, nt G_j nt>) +
+    (w / z) con con^T, built once for both directions. A dW built from
+    nt carries the rounding of |nt|^2, which grows as mu falls, so each
+    direction is refined against the dual equations while that halves
+    their residual.
+    """
+    ll_w, ll_z = np.linalg.cholesky(w_mat), np.linalg.cholesky(z_mat)
+    u_svd, v, vt_svd = np.linalg.svd(ll_z.T @ ll_w)
+    rs = 1.0 / np.sqrt(v)
+    g = (ll_w @ vt_svd.T) * rs
+    g_inv = (u_svd.T @ ll_z.T) * rs[:, None]
+    nt = g @ g.T
+    ratio = w / z
+    factor = lu_factor(gmap.schur(nt) + ratio * np.multiply.outer(con, con))
+
+    def direction(r_comp: np.ndarray, r_comp_row: float, row_target: float):
+        """Solve with complementarity right-hand sides r_comp (block) and
+        r_comp_row (row) and the row equation con.dx - dz = -row_target;
+        dZ and dW are also returned scaled by g."""
+        rhs = gmap.adjoint(r_comp) + con * (r_comp_row - ratio * row_target) - r_dual
+        dx = lu_solve(factor, rhs)
+        dw_mat = r_comp - nt @ gmap.linear(dx) @ nt
+        dw_mat = (dw_mat + dw_mat.T) / 2.0
+        dw = r_comp_row - ratio * (con @ dx + row_target)
+        err = r_dual - gmap.adjoint(dw_mat) - con * dw
+        for _ in range(REFINE_STEPS):
+            u = lu_solve(factor, -err)
+            du_mat = nt @ gmap.linear(u) @ nt
+            trial = (dw_mat - (du_mat + du_mat.T) / 2.0, dw - ratio * (con @ u))
+            trial_err = r_dual - gmap.adjoint(trial[0]) - con * trial[1]
+            if not np.linalg.norm(trial_err) < 0.5 * np.linalg.norm(err):
+                break
+            dx, (dw_mat, dw), err = dx + u, trial, trial_err
+        dz_s, dw_s = g.T @ gmap.linear(dx) @ g, g_inv @ dw_mat @ g_inv.T
+        return dx, con @ dx + row_target, dz_s, dw_mat, dw, dw_s
+
+    def max_step(scaled: np.ndarray, slack: float, d_slack: float) -> float:
+        """Largest t <= 1 keeping diag(v) + t scaled PSD and slack + t d_slack >= 0."""
+        lam = float(np.linalg.eigvalsh(scaled * np.multiply.outer(rs, rs))[0])
+        t = 1.0 if lam >= -1.0 else -1.0 / lam
+        return min(t, -slack / d_slack) if d_slack < 0.0 else t
+
+    mu = (v @ v + w * z) / (z_mat.shape[0] + 1)
+    dx, dz, dz_s, dw_mat, dw, dw_s = direction(-w_mat, -w, r_row)
+    tx, tw = max_step(dz_s, z, dz), max_step(dw_s, w, dw)
+    diag_v = np.diag(v)
+    mu_aff = (np.sum((diag_v + tw * dw_s) * (diag_v + tx * dz_s))
+              + (w + tw * dw) * (z + tx * dz)) / (z_mat.shape[0] + 1)
+    sigma_mu = min(1.0, (mu_aff / mu) ** 3) * mu
+    # the second-order term, through the Lyapunov operator of diag(v)
+    second = (dw_s @ dz_s + dz_s @ dw_s) / np.add.outer(v, v)
+    r_comp = sigma_mu * ((g * rs * rs) @ g.T) - w_mat - g @ second @ g.T
+    # the row residual only shrinks by 1 - tx on a step tx, so x would reach
+    # the threshold from outside; aiming at ROW_AIM of the predictor's step
+    # carries it across, where the caller pins z to con.x - s
+    r_comp_row = (sigma_mu - w * z - dw * dz) / z
+    dx, dz, dz_s, dw_mat, dw, dw_s = direction(r_comp, r_comp_row, r_row / (ROW_AIM * tx))
+    tx, tw = max_step(dz_s, z, dz), max_step(dw_s, w, dw)
+    return STEP_FRACTION * tx, STEP_FRACTION * tw, dx, dz, dw_mat, dw
+
+
+def _interior_point(
+    prob: MomentProblem, eps_abs: float, eps_rel: float, max_iters: int
+) -> MomentSolution:
+    """Primal-dual path following on the relaxation and its dual
+
+        max obj.x  s.t.  Z = Gamma(x) PSD,  z = con.x - s >= 0;
+        min tr(W) - s w  s.t.  <G_k, W> + con_k w = -obj_k,  W PSD, w >= 0,
+
+    from x = 0, z = 1, W = I, w = 1. Z is Gamma(x) itself, and once x
+    satisfies the threshold, z is con.x - s, so from then on every iterate
+    is feasible and obj.x a lower bound on the relaxation's maximum. Both
+    sides step 0.9 of the way to their boundary. The loop stops on the eps
+    tests, or stalls on a failed factorization (or any floating-point
+    overflow or invalid value), a step below 1e-8 or ten iterations without
+    a new best iterate, ranked by the largest of the three relative errors;
+    a stalled solve returns its best iterate. It never raises.
+    """
+    gmap = _GammaMap(prob.structure.entry_vars)
+    obj, con, s = prob.objective, prob.constraint, prob.s
+    d = prob.structure.n_words
+    b_scale = 1.0 + sqrt(s * s + np.count_nonzero(gmap.constant))
+    c_scale = 1.0 + float(np.linalg.norm(obj))
+    x, z, w_mat, w = np.zeros(prob.structure.n_variables), 1.0, np.eye(d), 1.0
+    status, it, best, since_best = "optimal_inaccurate", 0, None, 0
+    while True:
+        z_mat = moment_matrix(prob, x)
+        r_dual = -obj - gmap.adjoint(w_mat) - con * w
+        r_row = con @ x - s - z
+        primal, dual = float(obj @ x), float(np.trace(w_mat) - s * w)
+        pres, dres, gap = abs(r_row), float(np.linalg.norm(r_dual)), abs(primal - dual)
+        current = (x, w_mat, w, z_mat, primal, dual, pres, dres, gap)
+        scale = 1.0 + abs(primal) + abs(dual)
+        if (
+            pres <= eps_abs + eps_rel * b_scale
+            and dres <= eps_abs + eps_rel * c_scale
+            and gap <= eps_abs + eps_rel * scale
+        ):
+            status, best = "optimal", (0.0, current)
+            break
+        error = max(pres / b_scale, dres / c_scale, gap / scale)
+        if best is None or error < best[0]:
+            best, since_best = (error, current), 0
+        else:
+            since_best += 1
+        if it == max_iters or since_best == STALL_ITERS:
+            break
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                tx, tw, dx, dz, dw_mat, dw = _newton_step(
+                    gmap, con, w_mat, z_mat, w, z, r_dual, r_row)
+        except (np.linalg.LinAlgError, FloatingPointError):
+            break
+        if max(tx, tw) < MIN_STEP:
+            break
+        x, z = x + tx * dx, z + tx * dz
+        if con @ x - s > 0.0:
+            z = con @ x - s
+        w_mat, w = w_mat + tw * dw_mat, w + tw * dw
+        it += 1
+    x, w_mat, w, z_mat, primal, dual, pres, dres, gap = best[1]
+    y = np.concatenate([[w], _SvecOps(d).svec(w_mat)])
+    sol = MomentSolution(primal, dual, dual_upper_bound(prob, y), gap, max(pres, dres),
+                         float(np.linalg.eigvalsh(z_mat)[0]), status, False, it)
+    return replace(sol, certified=certify_point(sol))
 
 
 def sdp_solve(
@@ -383,165 +505,35 @@ def sdp_solve(
     eps_rel: float = DEFAULT_EPS_REL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> MomentSolution:
-    """Homogeneous self-dual embedding solved by relaxed Douglas-Rachford.
+    """Solve the relaxation by a primal-dual interior-point method.
 
-    The embedding variable u = (x, y, tau) is split against the cone
-    C = R^n x (R+ x PSD) x R+ and the skew optimality operator Q; the metric
-    weights the y block by sigma, re-balanced when the primal and dual
-    residuals drift apart. The fixed-point sequence is Anderson-accelerated
-    (memory 10) with a residual-decrease safeguard. Each difference of
-    residuals g and of z + g enters a preallocated history once, when its
-    iterate does; the history shifts one column when full, is solved and
-    applied through views of its columns in use, and empties on a sigma
-    re-balance. Every 50 iterations, and at the end, the iterate is
-    recovered from the projection of z that the last step already made.
-    Termination uses unscaled residual and gap thresholds
-    eps_abs + eps_rel * (1 + scale). Gamma(x) has unit diagonal, so |x_k| <= 1,
-    the relaxation is bounded and the check looks for no improving ray.
+    Stops when the threshold-row residual, the dual residual and the gap
+    meet eps_abs + eps_rel * (1 + scale), or stalls (see `_interior_point`).
+    An interior-point method has no ray test for infeasibility, so
+    thresholds within BOUNDARY_BAND of the quantum maximum q(alpha), whose
+    feasible sets have almost no interior, are decided first: the level-2
+    maximum U of I12 is solved, and a proven U below s makes the row
+    `infeasible` (NaN values, no main solve). Otherwise the row is a
+    `boundary` row: never certified, with the numbers of its stall-bounded
+    main solve. `iterations` counts the solve that gave the numbers.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     for name, eps in (("eps_abs", eps_abs), ("eps_rel", eps_rel)):
         if not (isfinite(eps) and eps >= 0.0):
             raise ValueError(f"{name} must be finite and non-negative, got {eps}")
-    ops = _SvecOps(prob.structure.n_words)
-    data = _conic_data(prob, ops)
-    b_vec, c_vec = data.b, data.c
-    m, n = b_vec.size, c_vec.size
-    dim = n + m + 1
-    sigma = 1.0
-    m_diag = np.concatenate([np.ones(n), np.full(m, sigma), [1.0]])
-    lu = lu_factor(data, sigma)
-    relax = 1.5
-
-    def step(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """u = z projected onto C, the fixed-point residual g at z and |g|."""
-        u = z.copy()
-        u[n] = max(z[n], 0.0)
-        mat = ops.smat(z[n + 1 : n + m])
-        eigvals, eigvecs = np.linalg.eigh(mat)
-        np.maximum(eigvals, 0.0, out=eigvals)
-        u[n + 1 : n + m] = ops.svec((eigvecs * eigvals) @ eigvecs.T)
-        u[-1] = max(z[-1], 0.0)
-        w = lu_solve(lu, m_diag * (2.0 * u - z))
-        g = relax * (w - u)
-        return u, g, sqrt(g @ g)
-
-    def recover(z: np.ndarray, u: np.ndarray):
-        """The iterate (x, y, pres, dres) scaled by tau, or None when
-        tau <= 1e-12, from z and u = z projected onto C."""
-        tau = u[-1]
-        if tau <= 1e-12:
-            return None
-        slack_raw = sigma * (u[n : n + m] - z[n : n + m])
-        x = u[:n] / tau
-        y = u[n : n + m] / tau
-        pres = float(np.linalg.norm(data.matvec(x) + slack_raw / tau - b_vec))
-        dres = float(np.linalg.norm(data.rmatvec(y) + c_vec))
-        return x, y, pres, dres
-
-    z = np.zeros(dim)
-    z[-1] = 1.0
-    b_scale = 1.0 + float(np.linalg.norm(b_vec))
-    c_scale = 1.0 + float(np.linalg.norm(c_vec))
-    check_every = 50
-    next_adapt = 200
-    eps_cert = 1e-10
-    aa_memory = 10
-    status = "optimal_inaccurate"
-    # Anderson history, oldest column first: column j of dg_hist is
-    # g_(j+1) - g_j and of dzg_hist is (z_(j+1) - z_j) + (g_(j+1) - g_j);
-    # k columns are in use. z and g are rebound, never written in place,
-    # while z_prev and g_prev hold them.
-    hist = np.empty((2, dim, aa_memory))
-    dg_hist, dzg_hist = hist
-    hist_flat = hist.reshape(-1)
-    k = 0
-    z_prev = g_prev = None
-    u, g, g_norm = step(z)
-
-    for it in range(1, max_iters + 1):
-        if z_prev is not None:
-            if k == aa_memory:
-                # hist is row-major, so moving its data back by one element
-                # moves every column one place left; column k - 1 is
-                # overwritten below
-                hist_flat[:-1] = hist_flat[1:]
-            else:
-                k += 1
-            dg = np.subtract(g, g_prev, out=dg_hist[:, k - 1])
-            np.add(z - z_prev, dg, out=dzg_hist[:, k - 1])
-        z_prev, g_prev = z, g
-        accepted = False
-        if k >= 2:
-            coeff, *_ = np.linalg.lstsq(dg_hist[:, :k], g, rcond=None)
-            z_aa = z + g - dzg_hist[:, :k] @ coeff
-            u_aa, g_aa, g_aa_norm = step(z_aa)
-            if g_aa_norm < g_norm:
-                z, u, g, g_norm, accepted = z_aa, u_aa, g_aa, g_aa_norm, True
-        if not accepted:
-            z = z + g
-            u, g, g_norm = step(z)
-        if it % check_every != 0 and it != max_iters:
-            continue
-        iterate = recover(z, u)
-        pres = dres = np.inf
-        if iterate is not None:
-            x, y, pres, dres = iterate
-            pobj = float(c_vec @ x)
-            dobj = float(-b_vec @ y)
-            gap = abs(pobj - dobj)
-            if (
-                pres <= eps_abs + eps_rel * b_scale
-                and dres <= eps_abs + eps_rel * c_scale
-                and gap <= eps_abs + eps_rel * (1.0 + abs(pobj) + abs(dobj))
-            ):
-                status = "optimal"
-                break
-        u_y = u[n : n + m]
-        bty = float(b_vec @ u_y)
-        if bty < -1e-12:
-            y_cert = u_y / (-bty)
-            if float(np.linalg.norm(data.rmatvec(y_cert))) <= eps_cert:
-                status = "infeasible"
-                break
-        if it >= next_adapt and np.isfinite(pres) and np.isfinite(dres):
-            next_adapt *= 2
-            ratio = (pres / b_scale) / max(dres / c_scale, 1e-300)
-            balance = float(np.clip(sqrt(ratio), 0.1, 10.0))
-            if abs(balance - 1.0) > 1e-3:
-                # residual imbalance: a dominant primal residual calls for a
-                # smaller y-metric weight, and vice versa
-                new_sigma = sigma / balance
-                k = 0
-                z_prev = g_prev = None
-                z[n : n + m] = u_y - sigma * (u_y - z[n : n + m]) / new_sigma
-                sigma = new_sigma
-                m_diag[n : n + m] = sigma
-                lu = lu_factor(data, sigma)
-                u, g, g_norm = step(z)
-
-    # u = z projected onto C holds for the final z too: a re-balance at the
-    # last check steps again from the moved z
-    iterate = recover(z, u)
-    if status == "infeasible" or iterate is None:
+    if prob.s <= quantum_maximum(prob.alpha) - BOUNDARY_BAND:
+        return _interior_point(prob, eps_abs, eps_rel, max_iters)
+    # max I12 subject to Gamma PSD and the vacuous row 0 >= -1
+    i12 = replace(prob, objective=prob.constraint, constraint=np.zeros_like(prob.constraint),
+                  s=-1.0)
+    bound = _interior_point(i12, eps_abs, eps_rel, max_iters)
+    if prob.s > bound.upper_bound:
         nan, inf = float("nan"), float("inf")
-        return MomentSolution(nan, nan, nan, inf, inf, -inf, status, False, it)
-    x, y, pres, dres = iterate
-    primal = float(-(c_vec @ x))
-    dual = float(b_vec @ y)
-    sol = MomentSolution(
-        primal=primal,
-        dual=dual,
-        upper_bound=dual_upper_bound(prob, y),
-        gap=abs(primal - dual),
-        max_residual=max(pres, dres),
-        min_eig=float(np.linalg.eigvalsh(moment_matrix(prob, x))[0]),
-        status=status,
-        certified=False,
-        iterations=it,
-    )
-    return replace(sol, certified=certify_point(sol))
+        return MomentSolution(nan, nan, nan, inf, inf, -inf, "infeasible", False,
+                              bound.iterations)
+    return replace(_interior_point(prob, eps_abs, eps_rel, max_iters), status="boundary",
+                   certified=False)
 
 
 @dataclass(frozen=True)

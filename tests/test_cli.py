@@ -342,10 +342,12 @@ def test_npa_scan_argument_errors(capsys):
 
 
 def test_npa_scan_output_does_not_depend_on_blas_threads():
-    # the solver's KKT solve uses no BLAS call whose rounding depends on
-    # how many threads share the work, so the bytes may not either. The
-    # golden bytes come from numpy 2.4.6 with its bundled OpenBLAS 0.3.31
-    # LAPACK on x86-64; another LAPACK build may round eigh differently.
+    # the solver assembles its Schur complement by gathers and reduceat, and
+    # its other BLAS and LAPACK calls are too small (22x22, 74x74) to be
+    # split across threads, so the bytes may not depend on the thread count
+    # either. The golden bytes come from numpy 2.4.6 with its bundled
+    # OpenBLAS 0.3.31 LAPACK on x86-64; another LAPACK build may round
+    # differently.
     argv = [sys.executable, "-m", "nonshare.cli", "npa-scan", "--alphas", "0,0.5",
             "--grid", "4", "--max-iters", "3200"]
     procs = []

@@ -360,10 +360,9 @@ def generated_trial_file(rng) -> bytes:
 
 
 def test_chunked_parser_matches_the_whole_text_parser(monkeypatch, tmp_path):
-    rng = np.random.default_rng(2024)
     path = tmp_path / "trials.csv"
-    for _ in range(300):
-        data = generated_trial_file(rng)
+
+    def check(data, chunks):
         path.write_bytes(data)
         try:
             expected = whole_text_trials(data)
@@ -373,7 +372,7 @@ def test_chunked_parser_matches_the_whole_text_parser(monkeypatch, tmp_path):
             counts = np.bincount(4 * expected.x + 2 * expected.y + (expected.a == expected.b),
                                  minlength=8).reshape(2, 2, 2).tolist()
             batch = [getattr(expected, field).tolist() for field in "xyab"]
-        for chunk in (1, 2, 3, 5, 8, 13, 1 << 16):
+        for chunk in chunks:
             monkeypatch.setattr(finitedata, "CHUNK_SIZE", chunk)
             try:
                 got = read_trial_counts(str(path)).tolist()
@@ -381,13 +380,25 @@ def test_chunked_parser_matches_the_whole_text_parser(monkeypatch, tmp_path):
                 got = (type(exc), str(exc))
             assert got == counts, data
         if isinstance(batch, tuple) and batch[0] is UnicodeDecodeError:
-            continue
+            return
         try:
             parsed = batch_from_csv(data.decode("utf-8"))
             got = [getattr(parsed, field).tolist() for field in "xyab"]
         except ValueError as exc:
             got = (type(exc), str(exc))
         assert got == batch, data
+
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        check(generated_trial_file(rng), (1, 2, 3, 5, 8, 13, 1 << 16))
+    # one line across hundreds of blocks, and the bytes around it
+    for data in (
+        b"x,y,a,b" + b" " * 3000,
+        b"x,y,a,b\n0,0,1," + b"1" * 3000 + b"\n1,1,1,1\n",
+        b" " * 3000 + b"x,y,a,b\r0,1,1,1",
+        b"x,y,a,b\n0,1,1,1\n" + b"\t" * 3000 + b"\xe2\x82\n",
+    ):
+        check(data, (7, 64))
 
 
 def test_estimators_match_the_per_cell_reference():
