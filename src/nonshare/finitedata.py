@@ -293,11 +293,14 @@ def _trial_codes(pieces: Iterable[str]) -> Iterator[np.ndarray]:
         codes = np.fromiter(map(_ROW_CODES.get, rows, repeat(-1)), np.int64, len(rows))
         n_rows += len(rows)
         for i in np.flatnonzero(codes < 0).tolist():
+            row = rows[i]
             try:
-                # counted before splitting: a long malformed row is not cut into fields
-                if rows[i].count(",") != 3:
-                    raise ValueError(f"malformed trial row: {rows[i]!r}")
-                x, y, a, b = map(int, rows[i].split(","))
+                # counted before splitting: a long malformed row is not cut into fields,
+                # and its message quotes only its first 80 characters
+                if row.count(",") != 3:
+                    more = f"... ({len(row)} characters)" if len(row) > 80 else ""
+                    raise ValueError(f"malformed trial row: {row[:80]!r}{more}")
+                x, y, a, b = map(int, row.split(","))
             except ValueError as exc:
                 error = error or str(exc)
                 continue

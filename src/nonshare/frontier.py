@@ -76,7 +76,7 @@ def certify(s12: float) -> CertificateRecord:
     return CertificateRecord(
         s12=s12,
         s13_max=cap,
-        omega13_max=0.5 + cap / 8.0,
+        omega13_max=omega_from_s(cap),
         gamma_plus=gamma_plus(s12),
         regime="below_local" if s12 <= 2.0 else "certified",
         provenance="analytic",
@@ -96,7 +96,7 @@ def werner_scan(eta_grid: list[float]) -> list[WernerRecord]:
         _check_range(eta, 0.0, 1.0, "eta")
         s12 = TSIRELSON * eta
         a12 = omega_from_s(s12)
-        c13 = 0.5 + s13_max(s12) / 8.0
+        c13 = omega_from_s(s13_max(s12))
         records.append(
             WernerRecord(eta=eta, s12=s12, a12=a12, c13_max_bound=c13, gap=werner_gap(eta))
         )

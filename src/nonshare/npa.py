@@ -13,7 +13,7 @@ Hermitian problem. The embedded solver is a primal-dual interior-point
 method (Nesterov-Todd directions, Mehrotra's predictor-corrector) whose
 Schur complement is assembled without a matrix product, so its output does
 not depend on the BLAS thread count. Each solution also carries an upper
-bound proven from its dual vector alone. The module needs numpy only.
+bound proven from its dual pair alone. The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .frontier import SQRT2, s13_max
+from .frontier import s13_max
 
 Word = tuple[str, ...]
 
@@ -178,7 +178,7 @@ def assemble(
 ) -> MomentProblem:
     if not 0.0 <= alpha <= 2.0:
         raise ValueError("alpha must lie in [0, 2]")
-    if s > quantum_maximum(alpha) + 1e-6:
+    if s > quantum_maximum(alpha) + BOUNDARY_BAND:
         raise ValueError("threshold s exceeds the quantum maximum")
     structure = structure if structure is not None else build_structure()
     return MomentProblem(
@@ -218,83 +218,12 @@ def certify_point(sol: MomentSolution) -> bool:
     )
 
 
-class _SvecOps:
-    """Isometric packing of symmetric matrices into R^(d(d+1)/2)."""
-
-    def __init__(self, d: int) -> None:
-        self.d = d
-        rows, cols = np.tril_indices(d)
-        self.tril = rows * d + cols  # flat index of each svec slot's entry
-        self.scale = np.where(rows == cols, 1.0, SQRT2)
-        # slot[i, j] is the svec slot of entry (max(i, j), min(i, j))
-        self.slot = np.empty((d, d), dtype=np.intp)
-        self.slot[rows, cols] = self.slot[cols, rows] = np.arange(rows.size)
-
-    def svec(self, mat: np.ndarray) -> np.ndarray:
-        return mat.take(self.tril) * self.scale
-
-    def smat(self, vec: np.ndarray) -> np.ndarray:
-        return (vec / self.scale)[self.slot]
-
-
 def moment_matrix(prob: MomentProblem, x: np.ndarray) -> np.ndarray:
     """Gamma(x): identity at constant entries, x_k at entries of variable k."""
     entry = prob.structure.entry_vars
     gamma = (entry == -1).astype(float)
     np.copyto(gamma, x[entry], where=entry >= 0)
     return gamma
-
-
-def dual_upper_bound(prob: MomentProblem, y: np.ndarray) -> float:
-    """Upper bound on the relaxation's value proven from any dual vector y.
-
-    y = (w, svec Y) holds the multiplier w of the threshold row and the
-    matrix Y paired with Gamma. Write the relaxation as min c.x subject to
-    A x + slack = b, slack in R+ x PSD: row 0 is -constraint.x + slack_0 =
-    -s, and each later row pins one svec slot of Gamma(x), a variable
-    (-sqrt2 or -1 in its column) or the constant 1 (in b). A, b and c are
-    rebuilt from the problem; nothing else is trusted. With ybar = y whose
-    threshold entry is clipped at 0, every feasible x obeys
-
-        -c.x = b.ybar - (A^T ybar + c).x - ybar.slack
-             <= b.ybar + |A^T ybar + c|_1 + tr(Gamma) max(0, -lambda_min(Ybar)),
-
-    because Gamma(x) is PSD with unit diagonal, so |x_k| <= 1, and
-    ybar.slack >= lambda_min(Ybar) tr(Gamma) with Ybar = smat(ybar[1:]).
-    Rounding is covered by a margin in the style of Jansson, Chaykin & Keil
-    (SIAM J. Numer. Anal. 2008): each computed sum has at most k = m + n
-    terms, so it is off by at most k eps times the sum of its terms' absolute
-    values, and LAPACK's eigenvalues are exact for a matrix within about
-    d eps |Ybar|_F of the computed smat; the margin doubles both.
-    """
-    ops = _SvecOps(prob.structure.n_words)
-    entry_tril = prob.structure.entry_vars.take(ops.tril)
-    constant = entry_tril < 0
-    cols = np.where(constant, 0, entry_tril)
-    vals = np.where(constant, 0.0, -ops.scale)
-    b = np.concatenate([[-prob.s], np.where(constant, ops.scale, 0.0)])
-    c = -prob.objective
-    y_bar = np.array(y, dtype=float)
-    y_bar[0] = max(y_bar[0], 0.0)
-    residual = -prob.constraint * y_bar[0] + np.bincount(cols, vals * y_bar[1:], c.size) + c
-    y_mat = ops.smat(y_bar[1:])
-    trace = float(ops.d)
-    value = (
-        b @ y_bar
-        + np.abs(residual).sum()
-        + trace * max(0.0, -float(np.linalg.eigvalsh(y_mat)[0]))
-    )
-    y_abs = np.abs(y_bar)
-    magnitude = (
-        np.abs(b) @ y_abs
-        + np.abs(prob.constraint).sum() * y_abs[0]
-        + np.abs(vals) @ y_abs[1:]
-        + np.abs(c).sum()
-        + np.abs(residual).sum()
-        + trace * np.linalg.norm(y_mat)
-    )
-    eps = np.finfo(float).eps
-    return float(value + 2.0 * (b.size + c.size + ops.d + 3) * eps * magnitude)
 
 
 class _GammaMap:
@@ -347,6 +276,51 @@ class _GammaMap:
             p *= q
             rows[lo:hi] = np.add.reduceat(p, self.col_starts, axis=1)
         return 2.0 * np.add.reduceat(rows, self.starts, axis=0)
+
+
+def dual_upper_bound(prob: MomentProblem, w: float, w_mat: np.ndarray) -> float:
+    """Upper bound on the relaxation's value proven from any dual pair (w, W).
+
+    w is the multiplier of the threshold row and W the matrix paired with
+    Gamma; only W's lower triangle is read. G* is the adjoint of Gamma's
+    linear part, rebuilt from the problem; nothing else is trusted. The
+    constant entries of Gamma are its d diagonal ones, so <G0, W> = tr(W),
+    and with wbar = max(w, 0) and r = obj + G*(W) + wbar con every feasible
+    x obeys
+
+        obj.x = tr(W) - s wbar + r.x - <W, Gamma(x)> - wbar (con.x - s)
+              <= tr(W) - s wbar + |r|_1 + d max(0, -lambda_min(W)),
+
+    because Gamma(x) is PSD with unit diagonal, so |x_k| <= 1 and
+    <W, Gamma(x)> >= lambda_min(W) tr(Gamma(x)) = lambda_min(W) d. The first
+    two terms are the solver's dual value. Rounding is covered by a margin in
+    the style of Jansson, Chaykin & Keil (SIAM J. Numer. Anal. 2008): a term
+    that passes through at most k roundings is off by at most k eps times its
+    absolute value, and LAPACK's eigenvalues are exact for a matrix within
+    about d eps |W|_F of W. Each entry of W's lower triangle enters one sum,
+    tr(W) or G*(W), of at most d(d+1)/2 terms, then the n-term 1-norm and
+    the four-term total, so k = d(d+1)/2 + n + d + 4 covers both; the margin
+    doubles it.
+    """
+    d, n = prob.structure.n_words, prob.structure.n_variables
+    w_mat = np.tril(w_mat) + np.tril(w_mat, -1).T
+    w_bar = max(w, 0.0)
+    gmap = _GammaMap(prob.structure.entry_vars)
+    residual = prob.objective + gmap.adjoint(w_mat) + w_bar * prob.constraint
+    value = (
+        np.trace(w_mat) - prob.s * w_bar
+        + np.abs(residual).sum()
+        + d * max(0.0, -float(np.linalg.eigvalsh(w_mat)[0]))
+    )
+    magnitude = (
+        np.abs(w_mat).sum()
+        + (abs(prob.s) + np.abs(prob.constraint).sum()) * w_bar
+        + np.abs(prob.objective).sum()
+        + np.abs(residual).sum()
+        + d * np.linalg.norm(w_mat)
+    )
+    eps = np.finfo(float).eps
+    return float(value + 2.0 * (d * (d + 1) // 2 + n + d + 4) * eps * magnitude)
 
 
 def lu_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -492,8 +466,7 @@ def _interior_point(
         w_mat, w = w_mat + tw * dw_mat, w + tw * dw
         it += 1
     x, w_mat, w, z_mat, primal, dual, pres, dres, gap = best[1]
-    y = np.concatenate([[w], _SvecOps(d).svec(w_mat)])
-    sol = MomentSolution(primal, dual, dual_upper_bound(prob, y), gap, max(pres, dres),
+    sol = MomentSolution(primal, dual, dual_upper_bound(prob, w, w_mat), gap, max(pres, dres),
                          float(np.linalg.eigvalsh(z_mat)[0]), status, False, it)
     return replace(sol, certified=certify_point(sol))
 

@@ -153,6 +153,17 @@ def test_certify_trials_memory_does_not_grow_with_the_file(tmp_path):
     assert kb - base < 64 * 1024
 
 
+def test_certify_trials_quotes_only_the_start_of_a_long_malformed_row(capsys, tmp_path):
+    # quoted whole, a row of over 1 MB would make a 1 MB line on stderr
+    trials = tmp_path / "long.csv"
+    row = "0,0,1,1," + "1" * (1 << 20)
+    trials.write_text(f"x,y,a,b\n0,0,1,1\n{row}\n1,1,-1,1\n")
+    assert main(["certify", "--trials", str(trials)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"input error: malformed trial row: {row[:80]!r}... ({len(row)} characters)\n"
+    assert len(err.encode()) < 200
+
+
 def test_simulate_determinism_and_lhv_source(tmp_path):
     argv = ["simulate", "--strategy", "bell", "--n", "300", "--seed", "11"]
     _, out1 = run_to_file(tmp_path, "s1.csv", argv)

@@ -328,7 +328,9 @@ def whole_text_trials(data: bytes) -> TrialBatch:
     for row in lines[1:]:
         parts = row.split(",")
         if len(parts) != 4:
-            raise ValueError(f"malformed trial row: {row!r}")
+            # a row over 80 characters is quoted by its start and its length
+            more = f"... ({len(row)} characters)" if len(row) > 80 else ""
+            raise ValueError(f"malformed trial row: {row[:80]!r}{more}")
         values.append([int(p) for p in parts])
     x, y, a, b = zip(*values)
     if not set(x + y) <= {0, 1}:
@@ -395,6 +397,7 @@ def test_chunked_parser_matches_the_whole_text_parser(monkeypatch, tmp_path):
     for data in (
         b"x,y,a,b" + b" " * 3000,
         b"x,y,a,b\n0,0,1," + b"1" * 3000 + b"\n1,1,1,1\n",
+        b"x,y,a,b\n0,0,1,1," + b"1" * 3000 + b"\n1,1,1,1\n",
         b" " * 3000 + b"x,y,a,b\r0,1,1,1",
         b"x,y,a,b\n0,1,1,1\n" + b"\t" * 3000 + b"\xe2\x82\n",
     ):

@@ -7,7 +7,6 @@ from math import cos, sin, sqrt
 import numpy as np
 import pytest
 
-from nonshare import npa
 from nonshare.behaviors import marginal
 from nonshare.frontier import TSIRELSON, s13_max
 from nonshare.npa import (
@@ -287,26 +286,6 @@ def test_sdp_solve_near_the_quantum_maximum_neither_raises_nor_warns(alpha):
     assert statuses[2] == "infeasible"
 
 
-@pytest.mark.parametrize("structure", [STRUCTURE, LEVEL_ONE], ids=["level2", "level1"])
-def test_smat_matches_the_triangle_construction_exactly(structure):
-    d = structure.n_words
-    ops = npa._SvecOps(d)
-    rows, cols = np.tril_indices(d)
-    rng = np.random.default_rng(d)
-    for _ in range(5):
-        vec = rng.standard_normal(rows.size)
-        # zeros, the lower triangle, plus its transpose, halved diagonal
-        old = np.zeros((d, d))
-        old[rows, cols] = vec / np.where(rows == cols, 1.0, sqrt(2.0))
-        old = old + old.T
-        old[np.diag_indices(d)] *= 0.5
-        mat = ops.smat(vec)
-        # dual_upper_bound's rounding margin assumes smat adds no error
-        assert np.array_equal(mat, old)
-        assert np.array_equal(mat, mat.T)
-        assert np.array_equal(ops.svec(mat), old[rows, cols] * ops.scale)
-
-
 def row_source(alpha, s):
     """The value a certified reference row names: the closed form at alpha = 0,
     otherwise I13 of the pinned strategy."""
@@ -328,17 +307,29 @@ def test_upper_bound_encloses_the_attained_score(alpha, s):
     # proven from the dual alone, so it may not lie below an attained score
     assert sol.upper_bound >= source
     assert sol.upper_bound - sol.primal <= 1e-7
-    # any dual vector gives a valid bound, however far from optimal
+    # any dual pair gives a valid bound, however far from optimal
     rng = np.random.default_rng(17)
-    m = 1 + STRUCTURE.n_words * (STRUCTURE.n_words + 1) // 2
-    assert dual_upper_bound(prob, np.zeros(m)) >= np.abs(prob.objective).sum()
-    # a negative diagonal lowers b.y by 22 and only the eigenvalue term restores it
-    rows, cols = np.tril_indices(STRUCTURE.n_words)
-    y = np.zeros(m)
-    y[1:][rows == cols] = -1.0
-    assert dual_upper_bound(prob, y) >= source
+    d = STRUCTURE.n_words
+    assert dual_upper_bound(prob, 0.0, np.zeros((d, d))) >= np.abs(prob.objective).sum()
+    # a negative diagonal lowers tr(W) by 22 and only the eigenvalue term restores it
+    assert dual_upper_bound(prob, 0.0, -np.eye(d)) >= source
     for _ in range(3):
-        assert dual_upper_bound(prob, rng.standard_normal(m)) >= source
+        half = rng.standard_normal((d, d))
+        assert dual_upper_bound(prob, rng.standard_normal(), half + half.T) >= source
+
+
+def test_upper_bound_reads_the_lower_triangle_and_clips_the_row_multiplier():
+    prob = assemble(0.5, 2.711267, STRUCTURE)
+    d = STRUCTURE.n_words
+    rng = np.random.default_rng(5)
+    lower = np.tril(rng.standard_normal((d, d)))
+    mirrored = lower + np.tril(lower, -1).T
+    expected = dual_upper_bound(prob, 0.3, mirrored)
+    for junk in (np.nan, 1e300):
+        w_mat = np.where(np.tri(d, dtype=bool), lower, junk)
+        assert dual_upper_bound(prob, 0.3, w_mat) == expected
+    # the threshold row is an inequality, so only w >= 0 pairs with it
+    assert dual_upper_bound(prob, -2.0, mirrored) == dual_upper_bound(prob, 0.0, mirrored)
 
 
 def test_level_one_relaxation_is_strictly_looser():
