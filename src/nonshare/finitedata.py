@@ -76,10 +76,6 @@ class TrialBatch:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @property
-    def n_trials(self) -> int:
-        return self.x.size
-
 
 @dataclass(frozen=True)
 class CorrelatorStats:
@@ -114,28 +110,27 @@ def simulate_trials(strategy: QuantumStrategy | LhvModel, n: int, seed: int) -> 
         behavior = lhv_behavior(strategy)
     else:
         raise ValueError("strategy must be a QuantumStrategy or LhvModel")
-    if behavior.n_parties != 2:
-        raise ValueError("trial simulation expects a 2-party strategy")
-    if behavior.inputs_per_party != (2, 2) or behavior.outputs_per_party != (2, 2):
-        raise ValueError("trial simulation expects 2 inputs and 2 outputs per party")
     return sample_behavior_trials(behavior, n, seed)
 
 
 def sample_behavior_trials(behavior: Behavior, n: int, seed: int) -> TrialBatch:
+    """n trials with uniform settings of a 2-party, 2-input, 2-output behavior."""
+    if behavior.n_parties != 2:
+        raise ValueError("trial simulation expects a 2-party strategy")
+    if behavior.inputs_per_party != (2, 2) or behavior.outputs_per_party != (2, 2):
+        raise ValueError("trial simulation expects 2 inputs and 2 outputs per party")
     rng = np.random.default_rng(seed)
     x = rng.integers(0, 2, size=n)
     y = rng.integers(0, 2, size=n)
     joint = rng.random(n)
-    a = np.empty(n, dtype=np.int64)
-    b = np.empty(n, dtype=np.int64)
-    for t1 in (0, 1):
-        for t2 in (0, 1):
-            mask = (x == t1) & (y == t2)
-            cdf = np.cumsum(behavior.table[t1, t2].reshape(-1))
-            idx = np.searchsorted(cdf, joint[mask], side="right").clip(max=3)
-            a[mask] = 1 - 2 * (idx >> 1)  # label 0 -> +1
-            b[mask] = 1 - 2 * (idx & 1)
-    return TrialBatch(x=x, y=y, a=a, b=b)
+    # idx = 2 [a = -1] + [b = -1]: how many of the cell's first three partial sums are <= u
+    cdf = np.cumsum(behavior.table.reshape(4, 4), axis=1)  # row 2x + y
+    cell = 2 * x + y
+    idx = np.zeros(n, dtype=np.uint8)
+    for k in range(3):
+        idx += cdf[:, k].take(cell) <= joint
+    del joint, cell
+    return TrialBatch(x=x, y=y, a=np.where(idx >> 1, -1, 1), b=np.where(idx & 1, -1, 1))
 
 
 def _cell_sums(trials: TrialBatch | np.ndarray) -> tuple[np.ndarray, np.ndarray]:

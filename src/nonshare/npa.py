@@ -19,6 +19,7 @@ bound proven from its dual pair alone. The module needs numpy only.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from math import isfinite, sqrt
 
 import numpy as np
@@ -143,6 +144,11 @@ def build_structure(words: list[Word] | None = None) -> MomentStructure:
     return MomentStructure(words=word_tuple, variables=tuple(variables), entry_vars=entry)
 
 
+@cache
+def _default_structure() -> MomentStructure:
+    return build_structure()  # one for every call: frozen, with a read-only entry map
+
+
 def _score_vector(structure: MomentStructure, alpha: float, partner: str) -> np.ndarray:
     """Coefficients of alpha<A0> + <A0P0> + <A0P1> + <A1P0> - <A1P1>."""
     lookup = {key: k for k, key in enumerate(structure.variables)}
@@ -180,7 +186,7 @@ def assemble(
         raise ValueError("alpha must lie in [0, 2]")
     if s > quantum_maximum(alpha) + BOUNDARY_BAND:
         raise ValueError("threshold s exceeds the quantum maximum")
-    structure = structure if structure is not None else build_structure()
+    structure = structure if structure is not None else _default_structure()
     return MomentProblem(
         structure=structure,
         alpha=float(alpha),
@@ -530,12 +536,11 @@ def scan(
     maximum, inclusive, each point solved and flagged."""
     if grid_points < 2:
         raise ValueError("grid needs at least 2 points")
-    structure = build_structure()
     rows: list[ScanRow] = []
     for alpha in map(float, alphas):
         grid = np.linspace(classical_bound(alpha), quantum_maximum(alpha), grid_points)
         for s in map(float, grid):
-            prob = assemble(alpha, s, structure)
+            prob = assemble(alpha, s)
             sol = sdp_solve(prob, eps_abs=eps_abs, eps_rel=eps_rel, max_iters=max_iters)
             rows.append(ScanRow(alpha, s, sol))
     return rows

@@ -122,6 +122,21 @@ def test_simulate_then_certify(tmp_path):
     assert json.loads(cert2.read_text())["estimator"] == "single_trial"
 
 
+PEAK_SCRIPT = ("import resource, sys\n"
+               "from nonshare.cli import main\n"
+               "code = main(sys.argv[1:])\n"
+               "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+
+
+def child_peak_kb(tmp_path, expected_code, *argv):
+    """Peak RSS in KiB of one `main(argv)` in a fresh interpreter, and its stderr."""
+    proc = subprocess.run([sys.executable, "-c", PEAK_SCRIPT, *argv, "--out",
+                           str(tmp_path / "out")], capture_output=True, text=True, timeout=300)
+    code, kb = proc.stdout.split()
+    assert int(code) == expected_code, proc.stderr
+    return int(kb), proc.stderr
+
+
 def test_certify_trials_memory_does_not_grow_with_the_file(tmp_path):
     # `certify --trials` reads its file in blocks into the count table; one
     # that held the 9 MB file, its lines and its columns at once peaked about
@@ -133,24 +148,21 @@ def test_certify_trials_memory_does_not_grow_with_the_file(tmp_path):
     header, first, second, rest = trials.read_bytes().split(b"\n", 3)
     broken = tmp_path / "broken.csv"
     broken.write_bytes(b"\n".join([header, first, second + b",1", rest]))
-    script = ("import resource, sys\n"
-              "from nonshare.cli import main\n"
-              "code = main(sys.argv[1:])\n"
-              "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
-
-    def peak_kb(expected_code, *argv):
-        proc = subprocess.run([sys.executable, "-c", script, *argv, "--out",
-                               str(tmp_path / "out")], capture_output=True, text=True,
-                              timeout=300)
-        code, kb = proc.stdout.split()
-        assert int(code) == expected_code, proc.stderr
-        return int(kb), proc.stderr
-
-    base = peak_kb(EXIT_OK, "frontier", "--points", "5")[0]
-    assert peak_kb(EXIT_OK, "certify", "--trials", str(trials))[0] - base < 64 * 1024
-    kb, err = peak_kb(EXIT_INPUT, "certify", "--trials", str(broken))
+    base = child_peak_kb(tmp_path, EXIT_OK, "frontier", "--points", "5")[0]
+    kb = child_peak_kb(tmp_path, EXIT_OK, "certify", "--trials", str(trials))[0]
+    assert kb - base < 64 * 1024
+    kb, err = child_peak_kb(tmp_path, EXIT_INPUT, "certify", "--trials", str(broken))
     assert err == f"input error: malformed trial row: {(second + b',1').decode()!r}\n"
     assert kb - base < 64 * 1024
+
+
+def test_simulate_memory_stays_flat(tmp_path):
+    # the trial columns, their row codes and the 9 MB text of 1e6 trials peak
+    # about 65 MB above `frontier`; a sampler whose temporaries are int64
+    # columns instead of one uint8 count reached about 73 MB
+    base = child_peak_kb(tmp_path, EXIT_OK, "frontier", "--points", "5")[0]
+    argv = ("simulate", "--strategy", "werner:0.9", "--n", "1000000", "--seed", "7")
+    assert child_peak_kb(tmp_path, EXIT_OK, *argv)[0] - base < 70 * 1024
 
 
 def test_certify_trials_quotes_only_the_start_of_a_long_malformed_row(capsys, tmp_path):
@@ -244,9 +256,19 @@ def test_closed_form_outputs_are_pinned(capsys, argv, golden):
          "85dfb14874d551f3140ad54e01a68d199dbc72df7fa9946ccc768159b519caf7"),
         (["--strategy", "bell", "--n", "20000", "--seed", "3"],
          "7e8ea2808b55aa090b7aaa69acf8827415c07655165fa0d3da45ee12ee8031e2"),
+        # a dyadic model with the cell (1/4, 0, 0, 3/4): tied partial sums
+        (["--strategy", "lhv:{model}", "--n", "20000", "--seed", "5"],
+         "d01e3ed209ab349d7d7d25550559949f4a2f7d774213dc39ec1422e264a88c99"),
     ],
 )
 def test_simulate_output_is_pinned(tmp_path, argv, sha256):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "weights": [0.25, 0.75],
+        "responses": [[[[1, 0], [0.5, 0.5]], [[0, 1], [0.25, 0.75]]],
+                      [[[0.5, 0.5], [1, 0]], [[0.75, 0.25], [0, 1]]]],
+    }))
+    argv = [arg.format(model=model) for arg in argv]
     code, out = run_to_file(tmp_path, "trials.csv", ["simulate", *argv])
     assert code == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

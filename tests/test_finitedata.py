@@ -27,10 +27,11 @@ from nonshare.finitedata import (
     single_trial_lcb,
 )
 from nonshare.frontier import GAMMA_MAX, TSIRELSON, gamma_plus
-from nonshare.behaviors import LhvModel
+from nonshare.behaviors import Behavior, LhvModel, lhv_behavior
 from nonshare.qkernel import (
     QuantumStrategy,
     bell_strategy,
+    born_behavior,
     pair_settings,
     tightness_state,
     werner_strategy,
@@ -53,7 +54,7 @@ def test_trial_batch_validation():
     ok = TrialBatch(
         x=np.array([0, 1]), y=np.array([1, 0]), a=np.array([1, -1]), b=np.array([-1, 1])
     )
-    assert ok.n_trials == 2
+    assert ok.x.size == 2
     assert not ok.x.flags.writeable
     with pytest.raises(ValueError):
         TrialBatch(x=np.array([0]), y=np.array([0, 1]), a=np.array([1]),
@@ -78,7 +79,7 @@ def test_trial_batch_value_checks_are_exact():
             columns = {name: np.array([vals[1], vals[0]]) for name, vals in valid.items()}
             columns[column] = np.array([accepted[1], value], dtype=np.int64)
             if value in accepted:
-                assert TrialBatch(**columns).n_trials == 2
+                assert TrialBatch(**columns).x.size == 2
             else:
                 message = "settings must be bits" if column in "xy" else "outcomes must be +-1"
                 with pytest.raises(ValueError, match=re.escape(message)):
@@ -116,7 +117,7 @@ def test_estimate_correlators_exact_counts():
     assert stats.e_hat[0, 0] == 17500 / 25000
     assert stats.e_hat[1, 1] == -13750 / 25000
     assert stats.n_min == 25000
-    assert int(stats.n.sum()) == batch.n_trials
+    assert int(stats.n.sum()) == batch.x.size
     assert stats.s_hat == pytest.approx(2.65, abs=1e-12)
 
 
@@ -465,3 +466,63 @@ def test_sample_behavior_trials_matches_cell_distribution():
     assert stats.e_hat[0, 0] == 1.0
     assert stats.e_hat[1, 1] == -1.0
     assert stats.s_hat == pytest.approx(4.0, abs=0.0)
+
+
+def test_sample_behavior_trials_rejects_what_it_cannot_sample():
+    cases = (
+        (Behavior(2, (2, 2), (3, 3), np.full((2, 2, 3, 3), 1 / 9)), "2 inputs and 2 outputs"),
+        (Behavior(2, (3, 2), (2, 2), np.full((3, 2, 2, 2), 1 / 4)), "2 inputs and 2 outputs"),
+        (Behavior(3, (2, 2, 2), (2, 2, 2), np.full((2,) * 6, 1 / 8)), "a 2-party strategy"),
+    )
+    for behavior, message in cases:
+        with pytest.raises(ValueError, match=f"trial simulation expects {message}"):
+            sample_behavior_trials(behavior, 10, seed=0)
+
+
+def per_cell_reference_sample(behavior: Behavior, n: int, seed: int):
+    """x, y, a, b drawn cell by cell: a mask per setting pair, then
+    `searchsorted` of the trial's uniform in the cell's cumulative sums."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 2, size=n)
+    y = rng.integers(0, 2, size=n)
+    joint = rng.random(n)
+    a = np.empty(n, dtype=np.int64)
+    b = np.empty(n, dtype=np.int64)
+    for t1 in (0, 1):
+        for t2 in (0, 1):
+            mask = (x == t1) & (y == t2)
+            cdf = np.cumsum(behavior.table[t1, t2].reshape(-1))
+            idx = np.searchsorted(cdf, joint[mask], side="right").clip(max=3)
+            a[mask] = 1 - 2 * (idx >> 1)  # label 0 -> +1
+            b[mask] = 1 - 2 * (idx & 1)
+    return x, y, a, b
+
+
+# weights 1/4, 3/4; its cell (x, y) = (0, 1) is (1/4, 0, 0, 3/4)
+DYADIC_LHV = LhvModel(
+    weights=np.array([0.25, 0.75]),
+    responses=(np.array([[[1, 0], [0.5, 0.5]], [[0, 1], [0.25, 0.75]]]),
+               np.array([[[0.5, 0.5], [1, 0]], [[0.75, 0.25], [0, 1]]])),
+)
+
+
+def test_sample_behavior_trials_matches_the_per_cell_reference():
+    # the sampler counts the partial sums <= u instead of searching them; the
+    # two agree because Behavior clears negative dust, so no cell's partial
+    # sums decrease. Zero cells give tied partial sums.
+    rng = np.random.default_rng(3)
+    tables = [np.array([[0, 0, 0, 1], [1, 0, 0, 0], [0, 0.5, 0, 0.5], [0.25, 0, 0, 0.75]])]
+    for _ in range(12):
+        rows = rng.dirichlet(np.ones(4), size=4) * (rng.random((4, 4)) < 0.6)
+        rows[rows.sum(axis=1) == 0, rng.integers(4)] = 1.0
+        tables.append(rows / rows.sum(axis=1, keepdims=True))
+    behaviors = [Behavior(2, (2, 2), (2, 2), t.reshape(2, 2, 2, 2)) for t in tables]
+    behaviors += [lhv_behavior(DYADIC_LHV), born_behavior(bell_strategy()),
+                  born_behavior(werner_strategy(0.9))]
+    for behavior in behaviors:
+        for n in (1, 7, 2000, 100000):
+            for seed in (0, 1, 2**40 + 17):
+                batch = sample_behavior_trials(behavior, n, seed)
+                expected = per_cell_reference_sample(behavior, n, seed)
+                for column, reference in zip((batch.x, batch.y, batch.a, batch.b), expected):
+                    assert np.array_equal(column, reference)

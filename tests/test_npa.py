@@ -101,6 +101,13 @@ def test_assemble_score_vectors():
     assert ("A0", "C0") not in con
     untilted = assemble(0.0, 2.5, STRUCTURE)
     assert untilted.objective[st.variables.index(("A0",))] == 0.0
+    # with no structure given, every call shares one, equal to a fresh build
+    shared = assemble(0.5, 2.6)
+    assert shared.structure is assemble(1.0, 2.9).structure
+    assert shared.structure.variables == st.variables
+    assert np.array_equal(shared.structure.entry_vars, st.entry_vars)
+    assert np.array_equal(shared.objective, prob.objective)
+    assert np.array_equal(shared.constraint, prob.constraint)
 
 
 def test_assemble_range_guards():
