@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
 from .behaviors import (
+    NO_SIGNALLING_TOL,
     Behavior,
     GameKernel,
     LhvModel,
@@ -41,16 +44,45 @@ class LpNumericalError(RuntimeError):
     """The solver stopped without a trustworthy optimum."""
 
 
-def _lp_minimum(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=(0, None)) -> float:
-    """Minimum of c.x under a_ub x <= b_ub, a_eq x = b_eq and bounds, by HiGHS."""
+class _Lp(NamedTuple):
+    """Minimize c.x under a_ub x <= b_ub, a_eq x = b_eq and per-variable
+    bounds, an (n, 2) array of (lower, upper) with infinities where free."""
+
+    c: np.ndarray
+    a_ub: np.ndarray
+    b_ub: np.ndarray
+    a_eq: np.ndarray
+    b_eq: np.ndarray
+    bounds: np.ndarray
+
+
+def _lp_minima(*lps: _Lp) -> list[float]:
+    """Minimum of each LP, from one HiGHS solve of their direct sum.
+
+    The blocks share no row and no column, so an optimum of the sum restricts
+    to an optimum of each block, and block i's value is c_i . x_i. Solving
+    several LPs in one call pays linprog's fixed per-call cost (input checks,
+    HiGHS set-up) once; for LPs this small it is about half of each call.
+    """
     res = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs"
+        np.concatenate([lp.c for lp in lps]),
+        A_ub=block_diag(*(lp.a_ub for lp in lps)),
+        b_ub=np.concatenate([lp.b_ub for lp in lps]),
+        A_eq=block_diag(*(lp.a_eq for lp in lps)),
+        b_eq=np.concatenate([lp.b_eq for lp in lps]),
+        bounds=np.concatenate([lp.bounds for lp in lps]),
+        method="highs",
     )
     if res.status == 2:
         raise LpInfeasibleError("LP infeasible: " + res.message)
     if res.status != 0:  # unbounded (3) too: every LP here has a finite optimum
         raise LpNumericalError(f"LP solver failure (status {res.status}): " + res.message)
-    return float(res.fun)
+    ends = np.cumsum([len(lp.c) for lp in lps])
+    return [float(lp.c @ x) for lp, x in zip(lps, np.split(res.x, ends[:-1]))]
+
+
+def _nonnegative(n: int) -> np.ndarray:
+    return np.tile([0.0, np.inf], (n, 1))
 
 
 def _require_desk_scale(p: Behavior) -> None:
@@ -65,8 +97,8 @@ class ExtensionProblem:
     """Collusive-extension instance: authorized pair behavior plus class.
 
     The colluder's alphabets equal party 2's. The authorized behavior must be
-    no-signalling; under the classical class it must additionally admit an
-    LHV-mixture decomposition, checked by a feasibility LP at construction.
+    no-signalling; under the classical class it must additionally be local,
+    checked at construction by the CHSH facets (`_require_local`).
     Construction also builds the class's LP data once: the equality block
     ``a_eq x = b_eq`` on the extension variables x (tripartite table cells,
     or weights over deterministic tripartite tables) and ``pair13``, the map
@@ -99,16 +131,37 @@ class ExtensionProblem:
             a_eq, b_eq = _ns_extension_rows(basis, p12)
             pair13 = basis.sum(axis=(1, 4)) * (1.0 / i2)
         else:
-            pair_verts = deterministic_behaviors((i1, i2), (o1, o2))
-            mix_eq, mix_rhs = _mixture_rows(pair_verts, p12)
-            # raises LpInfeasibleError for nonclassical input
-            _lp_minimum(np.zeros(len(pair_verts)), a_eq=mix_eq, b_eq=mix_rhs)
+            _require_local(p12)
             tri = deterministic_behaviors(shape[:3], shape[3:])
-            a_eq, b_eq = _mixture_rows(tri[:, :, :, 0].sum(-1), p12)
+            # weights over the tripartite vertices whose (1,2) tables mix to P12
+            pair12 = tri[:, :, :, 0].sum(-1).reshape(len(tri), -1)
+            a_eq = np.vstack([pair12.T, np.ones((1, len(tri)))])
+            b_eq = np.concatenate([p12.table.reshape(-1), [1.0]])
             pair13 = np.moveaxis(tri[:, :, 0].sum(-2), 0, -1)
         object.__setattr__(self, "a_eq", a_eq)
         object.__setattr__(self, "b_eq", b_eq)
         object.__setattr__(self, "pair13", pair13.reshape((p12.table.size, -1)))
+
+
+def _require_local(p12: Behavior) -> None:
+    """Raise LpInfeasibleError unless the no-signalling pair is local.
+
+    Fine's criterion (PRL 48, 291 (1982)): a no-signalling pair with 2 inputs
+    and 2 outputs per party is local iff all eight CHSH forms
+    |E00 + E01 + E10 + E11 - 2 E_xy| are at most 2, where E_xy is the
+    correlator at inputs (x, y). Each form is allowed 2 + NO_SIGNALLING_TOL,
+    the slack the no-signalling check already grants the table. With one
+    input or one output on a side, every no-signalling pair is local.
+    """
+    if p12.table.shape != (2, 2, 2, 2):
+        return
+    t = p12.table
+    corr = t[:, :, 0, 0] + t[:, :, 1, 1] - t[:, :, 0, 1] - t[:, :, 1, 0]
+    chsh = float(np.abs(corr.sum() - 2.0 * corr).max())
+    if chsh > 2.0 + NO_SIGNALLING_TOL:
+        raise LpInfeasibleError(
+            f"authorized behavior is not local: CHSH value {chsh:.12g} exceeds 2"
+        )
 
 
 def _ns_extension_rows(basis: np.ndarray, p12: Behavior) -> tuple[np.ndarray, np.ndarray]:
@@ -136,14 +189,6 @@ def _ns_extension_rows(basis: np.ndarray, p12: Behavior) -> tuple[np.ndarray, np
     return rows, rhs
 
 
-def _mixture_rows(pair_tables: np.ndarray, authorized: Behavior) -> tuple[np.ndarray, np.ndarray]:
-    """Equality block for weights over vertices whose pair tables mix to P12."""
-    n_verts = len(pair_tables)
-    a_eq = np.vstack([pair_tables.reshape(n_verts, -1).T, np.ones((1, n_verts))])
-    b_eq = np.concatenate([authorized.table.reshape(-1), [1.0]])
-    return a_eq, b_eq
-
-
 def collusive_vulnerability(prob: ExtensionProblem, kernel: GameKernel) -> float:
     """Best relabelled-test score any admissible extension grants the colluder.
 
@@ -157,7 +202,9 @@ def collusive_vulnerability(prob: ExtensionProblem, kernel: GameKernel) -> float
         raise ValueError("kernel must live on the relabelled (1,3) pair alphabets")
     # uniform inputs; i1 * i2 is a power of 2, so the division is exact
     c = (kernel.values / (i1 * i2)).reshape(-1) @ prob.pair13
-    return -_lp_minimum(-c, a_eq=prob.a_eq, b_eq=prob.b_eq)
+    n_ext = len(c)
+    lp = _Lp(-c, np.zeros((0, n_ext)), np.zeros(0), prob.a_eq, prob.b_eq, _nonnegative(n_ext))
+    return -_lp_minima(lp)[0]
 
 
 def shadow_tv_distance(prob: ExtensionProblem) -> float:
@@ -167,6 +214,11 @@ def shadow_tv_distance(prob: ExtensionProblem) -> float:
     slacks u >= +-(P12 - Q), with Q the relabelled (1,3) marginal and pi
     uniform over input pairs.
     """
+    return _lp_minima(_distance_lp(prob))[0]
+
+
+def _distance_lp(prob: ExtensionProblem) -> _Lp:
+    """The LP of `shadow_tv_distance` over (x, u)."""
     i1, i2 = prob.authorized.inputs_per_party
     p12 = prob.authorized.table.reshape(-1)
     coeff = prob.pair13
@@ -180,7 +232,7 @@ def shadow_tv_distance(prob: ExtensionProblem) -> float:
     ])
     b_ub = np.concatenate([-p12, p12])
     c = np.concatenate([np.zeros(n_ext), np.full(n_cells, 0.5 / (i1 * i2))])
-    return _lp_minimum(c, a_ub, b_ub, a_eq, prob.b_eq)
+    return _Lp(c, a_ub, b_ub, a_eq, prob.b_eq, _nonnegative(len(c)))
 
 
 def anticollusion_capacity(prob: ExtensionProblem) -> float:
@@ -194,8 +246,15 @@ def anticollusion_capacity(prob: ExtensionProblem) -> float:
         maximize  <pi h, P12> - b.nu   s.t.  G h - A' nu <= 0, 0 <= h <= 1.
 
     The optimum is finite: h is boxed and A x = b, x >= 0 is feasible (the
-    product extension, or the mixture found at construction).
+    product extension, or a mixture of deterministic tables, which exists
+    for a local pair).
     """
+    return max(0.0, -_lp_minima(_capacity_lp(prob))[0])
+
+
+def _capacity_lp(prob: ExtensionProblem) -> _Lp:
+    """The LP of `anticollusion_capacity` over (h, nu), as a minimum of
+    minus the capacity."""
     i1, i2 = prob.authorized.inputs_per_party
     p12 = prob.authorized.table.reshape(-1)
     n_cells = p12.size
@@ -204,14 +263,25 @@ def anticollusion_capacity(prob: ExtensionProblem) -> float:
     n_ext, n_eq = g_mat.shape[0], prob.a_eq.shape[0]
     c = np.concatenate([pi_cell * p12, -prob.b_eq])
     a_ub = np.hstack([g_mat, -prob.a_eq.T])
-    bounds = tuple([(0.0, 1.0)] * n_cells + [(None, None)] * n_eq)
-    return max(0.0, -_lp_minimum(-c, a_ub, np.zeros(n_ext), bounds=bounds))
+    bounds = np.array([(0.0, 1.0)] * n_cells + [(-np.inf, np.inf)] * n_eq)
+    return _Lp(-c, a_ub, np.zeros(n_ext), np.zeros((0, len(c))), np.zeros(0), bounds)
+
+
+@cache
+def _ns_extreme_tables() -> np.ndarray:
+    """The 24 binary no-signalling extreme points, read-only: the 16
+    deterministic tables, then the 8 PR boxes."""
+    tables = np.concatenate([
+        deterministic_behaviors((2, 2), (2, 2)),
+        [pr_box(a, b, c).table for a, b, c in product(range(2), repeat=3)],
+    ])
+    tables.flags.writeable = False
+    return tables
 
 
 def random_ns_behavior(rng: np.random.Generator) -> Behavior:
     """Dirichlet mixture of the 24 binary no-signalling extreme points."""
-    tables = list(deterministic_behaviors((2, 2), (2, 2)))
-    tables += [pr_box(a, b, c).table for a, b, c in product(range(2), repeat=3)]
+    tables = _ns_extreme_tables()
     w = rng.dirichlet(np.ones(len(tables)))
     mix = sum(wi * t for wi, t in zip(w, tables))
     return Behavior(2, (2, 2), (2, 2), mix)
@@ -238,8 +308,10 @@ def random_lhv_model(rng: np.random.Generator) -> LhvModel:
 def verification_record(p12: Behavior, extension_class: ExtensionClass) -> dict:
     """Capacity-equals-distance check for one instance, as a JSON record."""
     prob = ExtensionProblem(authorized=p12, extension_class=extension_class)
-    capacity = anticollusion_capacity(prob)
-    distance = shadow_tv_distance(prob)
+    # both LPs in one HiGHS call; they share no row or column, so each
+    # keeps its own optimum and the two formulations stay independent
+    minus_capacity, distance = _lp_minima(_capacity_lp(prob), _distance_lp(prob))
+    capacity = max(0.0, -minus_capacity)
     return {
         "behavior": behavior_to_json(p12),
         "class": extension_class,

@@ -490,27 +490,31 @@ def sdp_solve(
     meet eps_abs + eps_rel * (1 + scale), or stalls (see `_interior_point`).
     An interior-point method has no ray test for infeasibility, so
     thresholds within BOUNDARY_BAND of the quantum maximum q(alpha), whose
-    feasible sets have almost no interior, are decided first: the level-2
-    maximum U of I12 is solved, and a proven U below s makes the row
-    `infeasible` (NaN values, no main solve). Otherwise the row is a
-    `boundary` row: never certified, with the numbers of its stall-bounded
-    main solve. `iterations` counts the solve that gave the numbers.
+    feasible sets have almost no interior, are treated apart. Above q(alpha)
+    the level-2 maximum U of I12 is solved first, and a proven U below s
+    makes the row `infeasible` (NaN values, no main solve); at or below
+    q(alpha) no U is solved, since U >= q(alpha) >= s. Any other row in the
+    band is a `boundary` row: never certified, with the numbers of its
+    stall-bounded main solve. `iterations` counts the solve that gave the
+    numbers.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     for name, eps in (("eps_abs", eps_abs), ("eps_rel", eps_rel)):
         if not (isfinite(eps) and eps >= 0.0):
             raise ValueError(f"{name} must be finite and non-negative, got {eps}")
-    if prob.s <= quantum_maximum(prob.alpha) - BOUNDARY_BAND:
+    q = quantum_maximum(prob.alpha)
+    if prob.s <= q - BOUNDARY_BAND:
         return _interior_point(prob, eps_abs, eps_rel, max_iters)
-    # max I12 subject to Gamma PSD and the vacuous row 0 >= -1
-    i12 = replace(prob, objective=prob.constraint, constraint=np.zeros_like(prob.constraint),
-                  s=-1.0)
-    bound = _interior_point(i12, eps_abs, eps_rel, max_iters)
-    if prob.s > bound.upper_bound:
-        nan, inf = float("nan"), float("inf")
-        return MomentSolution(nan, nan, nan, inf, inf, -inf, "infeasible", False,
-                              bound.iterations)
+    if prob.s > q:
+        # max I12 subject to Gamma PSD and the vacuous row 0 >= -1
+        i12 = replace(prob, objective=prob.constraint,
+                      constraint=np.zeros_like(prob.constraint), s=-1.0)
+        bound = _interior_point(i12, eps_abs, eps_rel, max_iters)
+        if prob.s > bound.upper_bound:
+            nan, inf = float("nan"), float("inf")
+            return MomentSolution(nan, nan, nan, inf, inf, -inf, "infeasible", False,
+                                  bound.iterations)
     return replace(_interior_point(prob, eps_abs, eps_rel, max_iters), status="boundary",
                    certified=False)
 

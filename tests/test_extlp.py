@@ -4,7 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from nonshare import extlp
 from nonshare.behaviors import (
     Behavior,
     check_no_signalling,
@@ -30,7 +32,10 @@ from nonshare.extlp import (
     random_ns_behavior,
     shadow_tv_distance,
     verification_record,
-    _lp_minimum,
+    _Lp,
+    _capacity_lp,
+    _distance_lp,
+    _lp_minima,
 )
 from nonshare.qkernel import bell_strategy, born_behavior
 
@@ -44,13 +49,21 @@ def uniform_pair() -> Behavior:
     return Behavior(2, (2, 2), (2, 2), np.full((2, 2, 2, 2), 0.25))
 
 
+def one_variable_lp(c: float, a_ub=None, b_ub=None) -> _Lp:
+    """min c x over x >= 0, under the rows a_ub x <= b_ub if given."""
+    a_ub = np.zeros((0, 1)) if a_ub is None else np.array(a_ub)
+    b_ub = np.zeros(0) if b_ub is None else np.array(b_ub)
+    return _Lp(np.array([c]), a_ub, b_ub, np.zeros((0, 1)), np.zeros(0),
+               np.array([[0.0, np.inf]]))
+
+
 def test_lp_solve_infeasible_and_unbounded():
     with pytest.raises(LpInfeasibleError):
-        _lp_minimum(np.array([1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([-1.0]))
+        _lp_minima(one_variable_lp(1.0, [[1.0]], [-1.0]))
     # no LP built from an ExtensionProblem is unbounded, so HiGHS's status 3
     # can only mean numerical trouble
     with pytest.raises(LpNumericalError, match="status 3"):
-        _lp_minimum(np.array([-1.0]))
+        _lp_minima(one_variable_lp(-1.0))
 
 
 def test_extension_problem_validation():
@@ -248,3 +261,93 @@ def test_verification_record_and_jsonl():
     assert len(lines) == 2
     parsed = json.loads(lines[0])
     assert parsed["capacity"] == record["capacity"]
+
+
+def test_one_highs_call_per_record_and_none_for_locality(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(extlp, "linprog", counted)
+    lhv = lhv_behavior(random_lhv_model(np.random.default_rng(4)))
+    ExtensionProblem(authorized=lhv, extension_class=CLASSICAL)
+    assert len(calls) == 0
+    for p12, cls in ((lhv, CLASSICAL), (lhv, NO_SIGNALLING), (pr_box(), NO_SIGNALLING)):
+        calls.clear()
+        verification_record(p12, cls)
+        assert len(calls) == 1, cls
+
+
+def lp_instances():
+    rng = np.random.default_rng(31)
+    for k in range(11):
+        v = k / 10
+        p12 = Behavior(2, (2, 2), (2, 2), v * pr_box().table + (1.0 - v) * uniform_pair().table)
+        yield p12, NO_SIGNALLING
+    yield born_behavior(bell_strategy()), NO_SIGNALLING
+    for k in range(20):
+        yield lhv_behavior(random_lhv_model(rng)), (CLASSICAL, NO_SIGNALLING)[k % 2]
+
+
+def test_direct_sum_keeps_each_lp_optimum():
+    # the blocks share no row and no column, so solving them together gives
+    # each one's own minimum
+    for p12, cls in lp_instances():
+        prob = ExtensionProblem(authorized=p12, extension_class=cls)
+        cap, dist = _capacity_lp(prob), _distance_lp(prob)
+        together = _lp_minima(cap, dist)
+        apart = [_lp_minima(cap)[0], _lp_minima(dist)[0]]
+        assert together == pytest.approx(apart, abs=1e-12), (cls, together, apart)
+
+
+def chsh_forms(table: np.ndarray) -> np.ndarray:
+    """S_xy = E00 + E01 + E10 + E11 - 2 E_xy for the four input pairs."""
+    corr = np.einsum("xyab,ab->xy", table, [[1.0, -1.0], [-1.0, 1.0]])
+    return corr.sum() - 2.0 * corr
+
+
+def is_vertex_mixture(table: np.ndarray) -> bool:
+    """Feasibility LP: weights over the 16 deterministic pairs that mix to table."""
+    verts = deterministic_behaviors((2, 2), (2, 2)).reshape(16, -1)
+    a_eq = np.vstack([verts.T, np.ones((1, 16))])
+    b_eq = np.concatenate([table.reshape(-1), [1.0]])
+    res = linprog(np.zeros(16), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+def admits_classical_class(p12: Behavior) -> bool:
+    try:
+        ExtensionProblem(authorized=p12, extension_class=CLASSICAL)
+    except LpInfeasibleError:
+        return False
+    return True
+
+
+def test_locality_by_chsh_facets_matches_a_vertex_mixture_lp():
+    rng = np.random.default_rng(77)
+    checked = nonlocal_ = 0
+    while checked < 200:
+        v = rng.random()
+        box = pr_box(*rng.integers(0, 2, size=3)).table
+        p12 = Behavior(2, (2, 2), (2, 2),
+                       v * box + (1.0 - v) * random_ns_behavior(rng).table)
+        if abs(np.abs(chsh_forms(p12.table)).max() - 2.0) <= 1e-6:
+            continue
+        local = is_vertex_mixture(p12.table)
+        assert admits_classical_class(p12) == local
+        checked += 1
+        nonlocal_ += not local
+    assert 20 <= nonlocal_ <= 180  # both sides of the facets are exercised
+
+
+def test_locality_at_the_facets_and_beyond():
+    for table in deterministic_behaviors((2, 2), (2, 2)):
+        assert np.abs(chsh_forms(table)).max() == 2.0  # on a facet, exactly
+        assert admits_classical_class(Behavior(2, (2, 2), (2, 2), table))
+    for p12 in [born_behavior(bell_strategy())] + [
+            pr_box(a, b, c) for a, b, c in np.ndindex(2, 2, 2)]:
+        with pytest.raises(LpInfeasibleError, match="not local"):
+            ExtensionProblem(authorized=p12, extension_class=CLASSICAL)

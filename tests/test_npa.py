@@ -7,6 +7,7 @@ from math import cos, sin, sqrt
 import numpy as np
 import pytest
 
+from nonshare import npa
 from nonshare.behaviors import marginal
 from nonshare.frontier import TSIRELSON, s13_max
 from nonshare.npa import (
@@ -283,14 +284,27 @@ def test_thresholds_at_the_quantum_maximum_are_boundary_rows(alpha, s):
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0])
-def test_sdp_solve_near_the_quantum_maximum_neither_raises_nor_warns(alpha):
+def test_sdp_solve_near_the_quantum_maximum_neither_raises_nor_warns(monkeypatch, alpha):
     q = quantum_maximum(alpha)
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return interior_point(*args, **kwargs)
+
+    interior_point = npa._interior_point
+    monkeypatch.setattr(npa, "_interior_point", counted)
+    statuses, calls = [], []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        statuses = [sdp_solve(assemble(alpha, s, STRUCTURE)).status
-                    for s in (q - 1e-6, q, q + 1e-6)]
-    assert statuses[1] == "boundary"
-    assert statuses[2] == "infeasible"
+        for s in (q - 1e-6, q, np.nextafter(q, np.inf), q + 1e-6):
+            solves.clear()
+            statuses.append(sdp_solve(assemble(alpha, s, STRUCTURE)).status)
+            calls.append(len(solves))
+    assert statuses[1:] == ["boundary", "boundary", "infeasible"]
+    # the I12 maximum is solved only above q(alpha): at q it cannot fall
+    # below s, so only the main solve runs; an infeasible row skips the main
+    assert calls == [1, 1, 2, 1]
 
 
 def row_source(alpha, s):
