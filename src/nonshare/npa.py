@@ -11,18 +11,20 @@ and I12 >= s. The relaxation is real symmetrized: one real variable per
 adjoint pair of canonical words, an outer approximation of the complex
 Hermitian problem. The embedded solver is a primal-dual interior-point
 method (Nesterov-Todd directions, Mehrotra's predictor-corrector) whose
-Schur complement is assembled without a matrix product, so its output does
+Schur complement is assembled without a matrix product and factored once per
+step by LAPACK's LU (scipy's `getrf`/`getrs` wrappers), so its output does
 not depend on the BLAS thread count. Each solution also carries an upper
-bound proven from its dual pair alone. The module needs numpy only.
+bound proven from its dual pair alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, cached_property
 from math import isfinite, sqrt
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .frontier import s13_max
 
@@ -44,7 +46,6 @@ MIN_STEP = 1e-8
 STALL_ITERS = 10
 REFINE_STEPS = 4
 ROW_AIM = 0.7
-SCHUR_ROWS = 32
 
 
 def classical_bound(alpha: float) -> float:
@@ -123,6 +124,12 @@ class MomentStructure:
     @property
     def n_variables(self) -> int:
         return len(self.variables)
+
+    @cached_property
+    def _gamma(self) -> _GammaMap:
+        """The solver's map of Gamma, kept with the structure so that its
+        Schur index tables are built once, at the first solve."""
+        return _GammaMap(self.entry_vars)
 
 
 def build_structure(words: list[Word] | None = None) -> MomentStructure:
@@ -248,16 +255,9 @@ class _GammaMap:
         var = entry[rows, cols]
         order = np.argsort(var, kind="stable")
         order = order[var[order] >= 0]
-        self.a, self.b, var = rows[order], cols[order], var[order]
+        self.a, self.b, self.var = rows[order], cols[order], var[order]
         self.flat = self.a * entry.shape[0] + self.b
-        self.starts = np.flatnonzero(np.diff(var, prepend=-1))
-        # both orientations (c, e) of every slot, grouped by variable
-        both = np.argsort(np.concatenate([var, var]), kind="stable")
-        self.c = np.concatenate([self.a, self.b])[both]
-        self.e = np.concatenate([self.b, self.a])[both]
-        self.col_starts = np.flatnonzero(np.diff(np.concatenate([var, var])[both], prepend=-1))
-        # `schur` writes SCHUR_ROWS rows of slot-pair products at a time here
-        self.products = np.empty((2, SCHUR_ROWS, self.c.size))
+        self.starts = np.flatnonzero(np.diff(self.var, prepend=-1))
 
     def linear(self, v: np.ndarray) -> np.ndarray:
         """sum_k v_k G_k."""
@@ -267,21 +267,42 @@ class _GammaMap:
         """(<G_k, Y>)_k for a symmetric Y."""
         return 2.0 * np.add.reduceat(y.take(self.flat), self.starts)
 
+    @cached_property
+    def _pairs(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """`schur`'s index tables over the slot pairs p <= q: the flat
+        positions of (a_p, a_q), (b_p, b_q), (a_p, b_q) and (b_p, a_q) in nt
+        and of (var_p, var_q) in M; then where the pairs p = q lie. They are
+        built in the smallest integer type that holds every position (uint16
+        for 22 words): with int64 tables and intermediates a solve's peak
+        memory grew by about 2 MB, with int32 ones by about 1 MB."""
+        d, n, m = self.entry.shape[0], self.starts.size, self.a.size
+        index = np.min_scalar_type(max(d * d, n * n) - 1)
+        a, b, var = (v.astype(index) for v in (self.a, self.b, self.var))
+        p = np.repeat(np.arange(m, dtype=index), np.arange(m, 0, -1))
+        q = np.concatenate([np.arange(i, m, dtype=index) for i in range(m)])
+
+        def table(rows: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
+            out = rows[p] * width
+            out += cols[q]
+            return out
+
+        return ((table(a, a, d), table(b, b, d), table(a, b, d), table(b, a, d),
+                 table(var, var, n)), np.flatnonzero(p == q))
+
     def schur(self, nt: np.ndarray) -> np.ndarray:
-        """M_kj = <G_k, nt G_j nt>, twice the sum of nt_ac nt_be over the
-        slots (a, b) of k and both orientations (c, e) of the slots of j.
-        Gathers, products and np.add.reduceat only: no matrix product, whose
-        rounding would depend on how many BLAS threads share it."""
-        rows = np.empty((self.a.size, self.starts.size))
-        for lo in range(0, self.a.size, SCHUR_ROWS):
-            hi = min(lo + SCHUR_ROWS, self.a.size)
-            p, q = self.products[:, : hi - lo]
-            # the indices are valid; mode "raise" would buffer `out` anew each call
-            np.take(nt[self.a[lo:hi]], self.c, axis=1, out=p, mode="clip")
-            np.take(nt[self.b[lo:hi]], self.e, axis=1, out=q, mode="clip")
-            p *= q
-            rows[lo:hi] = np.add.reduceat(p, self.col_starts, axis=1)
-        return 2.0 * np.add.reduceat(rows, self.starts, axis=0)
+        """M_kj = <G_k, nt G_j nt> = 2 sum of Q_pq over the slots p of k and
+        q of j, with Q_pq = nt_{a_p a_q} nt_{b_p b_q} + nt_{a_p b_q} nt_{b_p a_q}
+        symmetric in (p, q). Slots are sorted by variable, so the sum H over
+        p <= q is upper triangular and M = 2 (H + H^T) - 2 diag(D), D the sum
+        over p = q: exactly symmetric. Gathers, products and np.bincount
+        only, which adds in a fixed order: no matrix product, whose rounding
+        would depend on how many BLAS threads share it."""
+        (aa, bb, ab, ba, cell), diagonal = self._pairs
+        n, flat = self.starts.size, nt.ravel()
+        q = flat.take(aa) * flat.take(bb)
+        q += flat.take(ab) * flat.take(ba)
+        h = np.bincount(cell, weights=q, minlength=n * n).reshape(n, n)
+        return 2.0 * (h + h.T) - np.diag(2.0 * np.bincount(self.var, weights=q[diagonal]))
 
 
 def dual_upper_bound(prob: MomentProblem, w: float, w_mat: np.ndarray) -> float:
@@ -329,18 +350,21 @@ def dual_upper_bound(prob: MomentProblem, w: float, w_mat: np.ndarray) -> float:
     return float(value + 2.0 * (d * (d + 1) // 2 + n + d + 4) * eps * magnitude)
 
 
-def lu_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Equilibrate the Schur complement M for `lu_solve`: (D, D M D) with
-    D = diag(M)^(-1/2). numpy reaches LAPACK's LU only through `solve`, so
-    the factorization itself runs in each `lu_solve` (74x74, tens of us)."""
+def lu_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor the Schur complement M once for every `lu_solve` of a step:
+    LAPACK's partial-pivoting LU (getrf) of D M D, D = diag(M)^(-1/2).
+    A zero pivot raises LinAlgError, and nothing warns."""
     scale = 1.0 / np.sqrt(np.diag(m))
-    return scale, m * np.multiply.outer(scale, scale)
+    lu, piv, info = lapack.dgetrf(m * np.multiply.outer(scale, scale))
+    if info > 0:
+        raise np.linalg.LinAlgError(f"zero pivot {info} in the Schur complement")
+    return scale, lu, piv
 
 
-def lu_solve(factor: tuple[np.ndarray, np.ndarray], r: np.ndarray) -> np.ndarray:
-    """Solve M u = r by partial-pivoting LU of the equilibrated M."""
-    scale, equilibrated = factor
-    return scale * np.linalg.solve(equilibrated, scale * r)
+def lu_solve(factor: tuple[np.ndarray, np.ndarray, np.ndarray], r: np.ndarray) -> np.ndarray:
+    """Solve M u = r from `lu_factor`'s factors (getrs)."""
+    scale, lu, piv = factor
+    return scale * lapack.dgetrs(lu, piv, scale * r)[0]
 
 
 def _newton_step(gmap: _GammaMap, con: np.ndarray, w_mat: np.ndarray, z_mat: np.ndarray,
@@ -352,7 +376,8 @@ def _newton_step(gmap: _GammaMap, con: np.ndarray, w_mat: np.ndarray, z_mat: np.
     The scaling g, with g^T Z g = g^-1 W g^-T = diag(v) and nt = g g^T (so
     nt Z nt = W), comes from the SVD of chol(Z)^T chol(W). Eliminating dZ,
     dW and the row leaves the Schur complement M = (<G_k, nt G_j nt>) +
-    (w / z) con con^T, built once for both directions. A dW built from
+    (w / z) con con^T, built and LU-factored once for both directions and
+    their refinement. A dW built from
     nt carries the rounding of |nt|^2, which grows as mu falls, so each
     direction is refined against the dual equations while that halves
     their residual.
@@ -429,7 +454,7 @@ def _interior_point(
     a new best iterate, ranked by the largest of the three relative errors;
     a stalled solve returns its best iterate. It never raises.
     """
-    gmap = _GammaMap(prob.structure.entry_vars)
+    gmap = prob.structure._gamma
     obj, con, s = prob.objective, prob.constraint, prob.s
     d = prob.structure.n_words
     b_scale = 1.0 + sqrt(s * s + np.count_nonzero(gmap.constant))

@@ -375,12 +375,13 @@ def test_npa_scan_argument_errors(capsys):
 
 
 def test_npa_scan_output_does_not_depend_on_blas_threads():
-    # the solver assembles its Schur complement by gathers and reduceat, and
+    # the solver assembles its Schur complement by gathers and bincount, and
     # its other BLAS and LAPACK calls are too small (22x22, 74x74) to be
     # split across threads, so the bytes may not depend on the thread count
-    # either. The golden bytes come from numpy 2.4.6 with its bundled
-    # OpenBLAS 0.3.31 LAPACK on x86-64; another LAPACK build may round
-    # differently.
+    # either. The golden bytes come from two LAPACK builds on x86-64: numpy
+    # 2.4.6's bundled OpenBLAS 0.3.31 (Cholesky, SVD, eigenvalues) and scipy
+    # 1.17.1's bundled OpenBLAS 0.3.30 (the Schur complement's LU, getrf and
+    # getrs); another LAPACK build may round differently.
     argv = [sys.executable, "-m", "nonshare.cli", "npa-scan", "--alphas", "0,0.5",
             "--grid", "4", "--max-iters", "3200"]
     procs = []

@@ -127,6 +127,61 @@ def test_moment_matrix_at_zero_vector():
     assert np.array_equal(gamma, np.eye(22))
 
 
+@pytest.mark.parametrize("condition", [1e1, 1e4, 1e9])
+def test_schur_complement_matches_the_dense_definition(condition):
+    # M_kj = <G_k, nt G_j nt>, with G_k the 0/1 indicator of variable k in Gamma
+    d, n = STRUCTURE.n_words, STRUCTURE.n_variables
+    basis = (STRUCTURE.entry_vars == np.arange(n)[:, None, None]).astype(float)
+    rng = np.random.default_rng(int(condition))
+    orthogonal, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    nt = (orthogonal * np.geomspace(1.0, 1.0 / condition, d)) @ orthogonal.T
+    nt = (nt + nt.T) / 2.0
+    dense = np.einsum("kab,jab->kj", basis, nt @ basis @ nt)
+    schur = npa._GammaMap(STRUCTURE.entry_vars).schur(nt)
+    assert np.array_equal(schur, schur.T)
+    assert np.abs(schur - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+def test_lu_factor_solves_and_reports_a_zero_pivot_without_warning(recwarn):
+    rng = np.random.default_rng(3)
+    half, scale = rng.standard_normal((74, 74)), np.geomspace(1.0, 1e4, 74)
+    m = (half @ half.T + np.eye(74)) * np.multiply.outer(scale, scale)  # badly scaled SPD
+    r = rng.standard_normal(74)
+    u = npa.lu_solve(npa.lu_factor(m), r)
+    assert np.linalg.norm(m @ u - r) <= 1e-8 * np.linalg.norm(r)
+    with pytest.raises(np.linalg.LinAlgError):
+        npa.lu_factor(np.ones((3, 3)))  # exactly singular, positive diagonal
+    assert not recwarn.list
+
+
+def test_one_factorization_per_newton_step(monkeypatch):
+    steps, factors, solves = [], [], []
+    newton_step, lu_factor, lu_solve = npa._newton_step, npa.lu_factor, npa.lu_solve
+
+    def counted_step(*args):
+        steps.append(len(factors))
+        return newton_step(*args)
+
+    def counted_factor(m):
+        factors.append(lu_factor(m))
+        return factors[-1]
+
+    def counted_solve(factor, r):
+        # the factor made in this step, and no other
+        solves.append(len(factors) == len(steps) and factor is factors[-1])
+        return lu_solve(factor, r)
+
+    monkeypatch.setattr(npa, "_newton_step", counted_step)
+    monkeypatch.setattr(npa, "lu_factor", counted_factor)
+    monkeypatch.setattr(npa, "lu_solve", counted_solve)
+    sol = sdp_solve(assemble(0.0, 2.407216, STRUCTURE))
+    assert sol.certified
+    assert len(steps) == len(factors) == sol.iterations == FROZEN_ITERATIONS[(0.0, 2.407216)]
+    # each step factors before its first solve: predictor, corrector, refinement
+    assert steps == list(range(len(steps)))
+    assert all(solves) and len(solves) >= 2 * len(steps)
+
+
 def frozen_rows():
     # independently cross-checked upper bounds for fast interior thresholds
     return [
@@ -138,8 +193,9 @@ def frozen_rows():
 
 
 # exact iteration counts of the solver's iterate path on the frozen rows
-# (numpy 2.4.6 with its OpenBLAS, as for the golden npa-scan file)
-FROZEN_ITERATIONS = {(0.0, 2.0): 12, (0.0, 2.407216): 14, (0.5, 2.5): 13, (1.0, 3.082475): 15}
+# (numpy 2.4.6 and scipy 1.17.1, each with its bundled OpenBLAS, as for the
+# golden npa-scan file)
+FROZEN_ITERATIONS = {(0.0, 2.0): 12, (0.0, 2.407216): 15, (0.5, 2.5): 13, (1.0, 3.082475): 15}
 
 
 @pytest.mark.parametrize("alpha,s,expected", frozen_rows())
@@ -153,6 +209,37 @@ def test_sdp_solve_frozen_interior_points(alpha, s, expected):
     assert sol.min_eig >= -1e-7
     # a bookkeeping change that moves any iterate shows here first
     assert sol.iterations == FROZEN_ITERATIONS[(alpha, s)]
+
+
+def sweep_thresholds(alpha):
+    """Interior thresholds of the degenerate-region sweep at one tilt: the
+    first 40 points of a 41-point grid from 2 + alpha to q(alpha) and, at
+    alpha = 0, 0.5, 1 and 1.5, the first 59 of a 60-point grid."""
+    grids = (41, 60) if alpha in (0.0, 0.5, 1.0, 1.5) else (41,)
+    return [float(s) for points in grids
+            for s in np.linspace(classical_bound(alpha), quantum_maximum(alpha), points)[:-1]]
+
+
+# the sweep's points that do not certify, as (alpha, s to six digits), with
+# the libraries of FROZEN_ITERATIONS
+SWEEP_UNCERTIFIED = {(1.75, 3.750208), (1.75, 3.750624)}
+
+
+@pytest.mark.parametrize("alpha", [0.25 * i for i in range(8)])
+def test_degenerate_region_sweep(alpha):
+    # next to the classical bound s = 2 + alpha the relaxation is degenerate
+    # and the solver meets its 1e-9 tests with the least margin: any solver
+    # change that moves a point across shows here
+    missed = set()
+    for s in sweep_thresholds(alpha):
+        sol = sdp_solve(assemble(alpha, s, STRUCTURE))
+        if sol.certified:
+            assert 0.0 <= sol.upper_bound - sol.primal <= 1e-7
+            continue
+        assert sol.status == "optimal_inaccurate"
+        assert 0.0 < s - classical_bound(alpha) <= 1e-3
+        missed.add((alpha, round(s, 6)))
+    assert missed == {point for point in SWEEP_UNCERTIFIED if point[0] == alpha}
 
 
 # Three-qubit strategies behind the tilted rows of the acceptance reference
