@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict, astuple, fields
 
 import numpy as np
@@ -30,12 +31,14 @@ ALPHA0_DEVIATION_TOL = 1e-3
 DISTANCE_TOL = 1e-6
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(text: str | Iterable[str], out: str | None) -> None:
+    """Write text, or its pieces in order, to stdout or to the file out."""
+    pieces = [text] if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _write_table(
@@ -96,7 +99,7 @@ def _parse_strategy(spec: str):
 def cmd_simulate(args: argparse.Namespace) -> int:
     strategy = _parse_strategy(args.strategy)
     batch = finitedata.simulate_trials(strategy, args.n, args.seed)
-    _write_output(finitedata.batch_to_csv(batch), args.out)
+    _write_output(finitedata.batch_csv_blocks(batch), args.out)
     return EXIT_OK
 
 

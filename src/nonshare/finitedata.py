@@ -44,6 +44,8 @@ _CODE_CELLS = _cells(*_ROW_VALUES.T)  # the cell of each row code
 
 # Bytes of a trial file read at a time.
 CHUNK_SIZE = 1 << 16
+# Trials written at a time.
+_CSV_BLOCK = 1 << 16
 
 
 class EmptyCellError(ValueError):
@@ -67,10 +69,10 @@ class TrialBatch:
         n = x.size
         if not (y.size == a.size == b.size == n) or n == 0:
             raise ValueError("trial columns must be equal-length and nonempty")
-        if (x >> 1).any() or (y >> 1).any():
+        if ((x | y) >> 1).any():
             raise ValueError("settings must be bits")
-        # |INT64_MIN| wraps to INT64_MIN, which is not 1 either
-        if not ((np.abs(a) == 1).all() and (np.abs(b) == 1).all()):
+        # v + 1 is 0 or 2 exactly when v is -1 or 1, also where v + 1 wraps
+        if (((a + 1) | (b + 1)) & ~2).any():
             raise ValueError("outcomes must be +-1")
         for name, arr in (("x", x), ("y", y), ("a", a), ("b", b)):
             arr.flags.writeable = False
@@ -216,10 +218,19 @@ def samples_for_onset(s_true: float, alpha: float) -> int:
     return ceil(32.0 * log(8.0 / alpha) / (s_true - 2.0) ** 2)
 
 
+def batch_csv_blocks(batch: TrialBatch) -> Iterator[str]:
+    """`batch_to_csv` in pieces: the header, then _CSV_BLOCK rows at a time."""
+    yield "x,y,a,b\n"
+    for start in range(0, batch.x.size, _CSV_BLOCK):
+        block = slice(start, start + _CSV_BLOCK)
+        codes = (8 * batch.x[block] + 4 * batch.y[block] + 2 * (batch.a[block] == 1)
+                 + (batch.b[block] == 1))
+        yield "\n".join(map(_ROWS.__getitem__, codes.tolist())) + "\n"
+
+
 def batch_to_csv(batch: TrialBatch) -> str:
     """Trial file format: header x,y,a,b and one trial per row."""
-    codes = 8 * batch.x + 4 * batch.y + 2 * (batch.a == 1) + (batch.b == 1)
-    return "x,y,a,b\n" + "\n".join(map(_ROWS.__getitem__, codes.tolist())) + "\n"
+    return "".join(batch_csv_blocks(batch))
 
 
 def _utf8_pieces(fh) -> Iterator[str]:
@@ -251,6 +262,47 @@ def _utf8_pieces(fh) -> Iterator[str]:
         yield text
 
 
+def _canonical_codes(data: bytes) -> np.ndarray:
+    """Index into `_ROWS` of each nonempty line of `data`, or -1 where the
+    line is not written as `batch_to_csv` writes it.
+
+    `data` ends with a line feed. A line is canonical when it reads x,y,a,b
+    with x and y bits and a and b each 1 or -1: every byte is checked at its
+    place, and the length is 7 + [a = -1] + [b = -1].
+    """
+    buf = np.frombuffer(data + bytes(8), np.uint8)  # gathers reach 8 bytes past a line start
+    ends = np.flatnonzero(buf == 10)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    full = ends > starts
+    starts, ends = starts[full], ends[full]
+    x, comma1, y, comma2, a = (buf[k:][starts] for k in range(5))
+    a_minus = a == 45
+    a_one = starts + 4 + a_minus  # where a's 1 must be
+    b_minus = buf[2:][a_one] == 45
+    canonical = (
+        ((x | 1) == 49) & ((y | 1) == 49) & (comma1 == 44) & (comma2 == 44)
+        & (buf[a_one] == 49) & (buf[1:][a_one] == 44) & (buf[2:][a_one + b_minus] == 49)
+        & (ends - a_one == 3 + b_minus)
+    )
+    codes = 8 * (x & 1) + 4 * (y & 1) + 2 * ~a_minus + ~b_minus
+    return np.where(canonical, codes, -1)
+
+
+def _canonical_piece(held: list[str], piece: str) -> np.ndarray | None:
+    """Codes of the nonempty lines of the held lines and the piece, if all are canonical.
+
+    Otherwise None: the piece does not end with a line feed, a character
+    other than "01,-" and line feeds occurs, or a line is not canonical.
+    """
+    if not piece.endswith("\n"):
+        return None
+    data = "\n".join([*held, piece]).encode()
+    if data.translate(None, b"01,-\n"):
+        return None
+    codes = _canonical_codes(data)
+    return None if (codes < 0).any() else codes
+
+
 def _trial_codes(pieces: Iterable[str]) -> Iterator[np.ndarray]:
     """Indices into `_ROWS` of the rows of trial-file text, one array per piece.
 
@@ -259,16 +311,26 @@ def _trial_codes(pieces: Iterable[str]) -> Iterator[np.ndarray]:
     header x,y,a,b (spaces ignored), then one trial per row. So the last
     nonblank line of a piece waits for the next piece, with the first
     whitespace-only line after it (a malformed row if another row follows).
-    Canonical rows are looked up; other spellings (" +1", "01", ...) go
-    through int() as written. Errors are raised after the last piece, the
-    first that holds of: a bad header, a header with no rows, the first
-    malformed row, settings that are not bits, outcomes that are not +-1.
+    A piece after the header made only of canonical rows ended by line feeds
+    is coded as one array by `_canonical_piece`. Any other piece is split
+    into lines: canonical rows are looked up, and other spellings (" +1",
+    "01", ...) go through int() as written. Errors are raised after the
+    last piece, the first that holds of: a bad header, a header with no
+    rows, the first malformed row, settings that are not bits, outcomes
+    that are not +-1.
     """
     header = error = None
     held: list[str] = []
     n_rows = 0
     bad_settings = bad_outcomes = False
     for piece in chain(pieces, [None]):
+        # a piece of canonical rows is coded in bulk; its last row waits as any would
+        if (piece is not None and header is not None
+                and (bulk := _canonical_piece(held, piece)) is not None):
+            codes, held = bulk[:-1], [_ROWS[code] for code in bulk[-1:]]
+            n_rows += codes.size
+            yield codes
+            continue
         if piece is None:  # the text's last nonblank line loses its trailing whitespace
             lines = [held[0].rstrip()] if held else []
         else:

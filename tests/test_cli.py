@@ -157,9 +157,10 @@ def test_certify_trials_memory_does_not_grow_with_the_file(tmp_path):
 
 
 def test_simulate_memory_stays_flat(tmp_path):
-    # the trial columns, their row codes and the 9 MB text of 1e6 trials peak
-    # about 65 MB above `frontier`; a sampler whose temporaries are int64
-    # columns instead of one uint8 count reached about 73 MB
+    # the sampler's columns and temporaries peak about 50 MB above `frontier`,
+    # with the CSV written in blocks of rows; the whole 9 MB text of 1e6
+    # trials with its row codes reached about 65 MB, and a sampler whose
+    # temporaries are int64 columns instead of one uint8 count about 73 MB
     base = child_peak_kb(tmp_path, EXIT_OK, "frontier", "--points", "5")[0]
     argv = ("simulate", "--strategy", "werner:0.9", "--n", "1000000", "--seed", "7")
     assert child_peak_kb(tmp_path, EXIT_OK, *argv)[0] - base < 70 * 1024

@@ -1,7 +1,9 @@
 """Finite-data confidence certificates: estimators, radii, onset counts, IO."""
 
+import io
 import json
 import re
+from itertools import chain, repeat
 from math import ceil, log, sqrt
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from nonshare import __version__, finitedata
 from nonshare.cli import EXIT_INPUT, EXIT_OK, main
 from nonshare.finitedata import (
+    _ROW_CODES,
     ASSUMPTIONS,
     CorrelatorStats,
     EmptyCellError,
@@ -72,7 +75,7 @@ def test_trial_batch_validation():
 
 def test_trial_batch_value_checks_are_exact():
     # every int64 edge: a column accepts exactly its two values
-    edges = (-(2**63), -2, -1, 0, 1, 2, 2**63 - 1)
+    edges = (-(2**63), -(2**63 - 1), -3, -2, -1, 0, 1, 2, 3, 2**63 - 1)
     valid = {"x": (0, 1), "y": (0, 1), "a": (-1, 1), "b": (-1, 1)}
     for column, accepted in valid.items():
         for value in edges:
@@ -403,6 +406,139 @@ def test_chunked_parser_matches_the_whole_text_parser(monkeypatch, tmp_path):
         b"x,y,a,b\n0,1,1,1\n" + b"\t" * 3000 + b"\xe2\x82\n",
     ):
         check(data, (7, 64))
+
+
+def per_line_trial_codes(pieces):
+    """Reference: `_trial_codes` with every piece split into lines, no bulk path."""
+    header = error = None
+    held = []
+    n_rows = 0
+    bad_settings = bad_outcomes = False
+    for piece in chain(pieces, [None]):
+        if piece is None:
+            lines = [held[0].rstrip()] if held else []
+        else:
+            lines = held + piece.splitlines()
+            last = len(lines) - 1
+            while last > 0 and (not lines[last] or lines[last].isspace()):
+                last -= 1
+            held = list(filter(None, lines[last:]))[:2]
+            del lines[last:]
+        rows = list(filter(None, lines))
+        if header is None:
+            first = next((i for i, ln in enumerate(rows) if not ln.isspace()), len(rows))
+            if first == len(rows):
+                continue
+            header = rows[first].lstrip().replace(" ", "")
+            del rows[: first + 1]
+        codes = np.fromiter(map(_ROW_CODES.get, rows, repeat(-1)), np.int64, len(rows))
+        n_rows += len(rows)
+        for i in np.flatnonzero(codes < 0).tolist():
+            row = rows[i]
+            try:
+                if row.count(",") != 3:
+                    more = f"... ({len(row)} characters)" if len(row) > 80 else ""
+                    raise ValueError(f"malformed trial row: {row[:80]!r}{more}")
+                x, y, a, b = map(int, row.split(","))
+            except ValueError as exc:
+                error = error or str(exc)
+                continue
+            if x not in (0, 1) or y not in (0, 1):
+                bad_settings = True
+            elif a not in (-1, 1) or b not in (-1, 1):
+                bad_outcomes = True
+            else:
+                codes[i] = _ROW_CODES[f"{x},{y},{a},{b}"]
+        yield codes[codes >= 0]
+    if header != "x,y,a,b":
+        raise ValueError("trial file must start with header x,y,a,b")
+    if not n_rows:
+        raise ValueError("trial file has a header but no rows")
+    if error:
+        raise ValueError(error)
+    if bad_settings:
+        raise ValueError("settings must be bits")
+    if bad_outcomes:
+        raise ValueError("outcomes must be +-1")
+
+
+def test_bulk_counting_matches_the_per_line_path(monkeypatch):
+    # long canonical runs with one fault put at each line start within 10
+    # bytes of the first two block boundaries: the rows and the error must
+    # be those of the per-line path
+    faults = {
+        "odd spelling": "0, 1,+1,-1\n", "malformed in the alphabet": "0,0,--1,1\n",
+        "cut row": "0,0,1,-\n", "not a bit": "2,0,1,1\n", "non-ASCII": "é,0,1,1\n",
+        "blank line": "\n", "whitespace-only line": " \t\n", "CRLF": "\r",
+    }
+    rng = np.random.default_rng(21)
+    bulk_pieces = 0
+    real_canonical_piece = finitedata._canonical_piece
+
+    def counted(held, piece):
+        nonlocal bulk_pieces
+        codes = real_canonical_piece(held, piece)
+        bulk_pieces += codes is not None
+        return codes
+
+    monkeypatch.setattr(finitedata, "_canonical_piece", counted)
+
+    def outcome(codes_of, data):
+        pieces = list(finitedata._utf8_pieces(io.BytesIO(data)))
+        try:
+            return np.concatenate([np.zeros(0, np.int64), *codes_of(pieces)]).tolist()
+        except ValueError as exc:
+            return str(exc)
+
+    for chunk in (7, 64, 1000, 1 << 16):
+        monkeypatch.setattr(finitedata, "CHUNK_SIZE", chunk)
+        codes = rng.integers(16, size=3 * chunk // 8 + 8)
+        rows = [finitedata._ROWS[code] + "\n" for code in codes]
+        body = "x,y,a,b\n" + "".join(rows)
+        starts = np.cumsum([0, len("x,y,a,b\n"), *map(len, rows)])
+        bulk_pieces = 0
+        assert outcome(finitedata._trial_codes, body.encode()) == outcome(
+            per_line_trial_codes, body.encode())
+        assert bulk_pieces
+        at = starts[(abs(starts - chunk) <= 10) | (abs(starts - 2 * chunk) <= 10)]
+        for start in at[at > len("x,y,a,b\n")].tolist():
+            for name, fault in faults.items():
+                # a CR goes before the line feed that ends the previous line
+                cut = start - 1 if fault == "\r" else start
+                data = (body[:cut] + fault + body[cut:]).encode()
+                assert outcome(finitedata._trial_codes, data) == outcome(
+                    per_line_trial_codes, data), (chunk, start, name)
+
+
+def test_bulk_recognizer_codes_every_short_line_over_its_alphabet():
+    # every string of 1 to 10 characters over "01,-", 1 398 100 lines in one
+    # file, shuffled so that lines of every length meet: a line gets the code
+    # `_ROW_CODES.get` gives it, and -1, which sends its piece to the per-line
+    # path, where that gives nothing
+    alphabet = np.frombuffer(b"01,-", np.uint8)
+    blocks, expected = [], []
+    for length in range(1, 11):
+        index = np.arange(4**length)
+        lines = np.zeros((index.size, 11), np.uint8)  # zero pads each line to 11 bytes
+        for column in range(length):
+            lines[:, column] = alphabet[(index >> 2 * (length - 1 - column)) & 3]
+        lines[:, length] = ord("\n")
+        codes = np.full(index.size, -1)
+        for row, code in _ROW_CODES.items():
+            if len(row) == length:
+                spelled = np.frombuffer(row.encode(), np.uint8)
+                codes[(lines[:, :length] == spelled).all(axis=1)] = code
+        blocks.append(lines)
+        expected.append(codes)
+    order = np.random.default_rng(6).permutation(sum(map(len, expected)))
+    lines = np.concatenate(blocks)[order]
+    del blocks
+    data = lines[lines != 0].tobytes()
+    del lines
+    expected = np.concatenate(expected)[order]
+    assert expected.size == 1_398_100 and np.bincount(expected + 1).tolist() == [
+        expected.size - 16, *[1] * 16]
+    assert np.array_equal(finitedata._canonical_codes(data), expected)
 
 
 def test_estimators_match_the_per_cell_reference():
