@@ -99,9 +99,10 @@ class ExtensionProblem:
     The colluder's alphabets equal party 2's. The authorized behavior must be
     no-signalling; under the classical class it must additionally be local,
     checked at construction by the CHSH facets (`_require_local`).
-    Construction also builds the class's LP data once: the equality block
-    ``a_eq x = b_eq`` on the extension variables x (tripartite table cells,
-    or weights over deterministic tripartite tables) and ``pair13``, the map
+    Construction also builds the class's LP data once: ``a_eq x = b_eq``, the
+    (1,2)-marginal pin on the extension variables x (tripartite table cells,
+    or weights over deterministic tripartite tables) plus, on cells, parties
+    1 and 2's no-signalling (`_ns_extension_rows`); and ``pair13``, the map
     from x to the relabelled (1,3) pair table, one row per pair cell
     (t1, t3, x1, x3); the marginal averages over the dropped party-2 input.
     """
@@ -133,10 +134,10 @@ class ExtensionProblem:
         else:
             _require_local(p12)
             tri = deterministic_behaviors(shape[:3], shape[3:])
-            # weights over the tripartite vertices whose (1,2) tables mix to P12
-            pair12 = tri[:, :, :, 0].sum(-1).reshape(len(tri), -1)
-            a_eq = np.vstack([pair12.T, np.ones((1, len(tri)))])
-            b_eq = np.concatenate([p12.table.reshape(-1), [1.0]])
+            # weights over the tripartite vertices whose (1,2) tables mix to P12;
+            # the rows of one input pair sum to the total weight, which is thus 1
+            a_eq = tri[:, :, :, 0].sum(-1).reshape(len(tri), -1).T
+            b_eq = p12.table.reshape(-1)
             pair13 = np.moveaxis(tri[:, :, 0].sum(-2), 0, -1)
         object.__setattr__(self, "a_eq", a_eq)
         object.__setattr__(self, "b_eq", b_eq)
@@ -168,33 +169,31 @@ def _ns_extension_rows(basis: np.ndarray, p12: Behavior) -> tuple[np.ndarray, np
     """Equality block for the no-signalling extension polytope.
 
     ``basis`` holds the unit vector of every extension cell, indexed
-    (t1, t2, t3, x1, x2, x3, var). Rows: per-input-triple normalization; the
-    (1,2)-marginal pin Sum_x3 P123 = P12 for every colluder input, by t3 then
-    (t1, t2, x1, x2); and party-wise no-signalling (marginal over one party
-    independent of that party's input), by party k, t_k >= 1, the other
-    inputs, the other outputs.
+    (t1, t2, t3, x1, x2, x3, var). Rows: the (1,2)-marginal pin
+    Sum_x3 P123 = P12 for every colluder input, by t3 then (t1, t2, x1, x2);
+    then no-signalling for party k = 1, 2 (marginal over party k independent
+    of t_k), by k, t_k >= 1, the other inputs, the other outputs with
+    x3 < o3 - 1. The rest follow: normalization is a sum of pin rows; the pin
+    fixes the (1,2) marginal for every t3, so party 3 cannot signal; and
+    party k's row at x3 = o3 - 1 is the pin's sum over x_k and x3, differenced
+    over t_k, minus the kept rows, which holds as P12 is no-signalling.
     """
-    i1, i2, i3 = basis.shape[:3]
     n_vars = basis.shape[-1]
-    table = p12.table.reshape(-1)
-    blocks = [basis.sum(axis=(3, 4, 5)), np.moveaxis(basis.sum(axis=5), 2, 0)]
-    for k in range(3):
-        summed = np.moveaxis(basis.sum(axis=3 + k), k, 0)  # t_k first, x_k summed out
+    blocks = [np.moveaxis(basis.sum(axis=5), 2, 0)]
+    for k in range(2):
+        summed = np.moveaxis(basis.sum(axis=3 + k), k, 0)[..., :-1, :]  # no x_k, x3 < o3 - 1
         blocks.append(summed[1:] - summed[0])
     rows = np.concatenate([block.reshape(-1, n_vars) for block in blocks])
-    rhs = np.zeros(len(rows))
-    n_norm = i1 * i2 * i3
-    rhs[:n_norm] = 1.0
-    rhs[n_norm : n_norm + i3 * table.size] = np.tile(table, i3)
-    return rows, rhs
+    rhs = np.tile(p12.table.reshape(-1), basis.shape[2])
+    return rows, np.pad(rhs, (0, len(rows) - len(rhs)))
 
 
 def collusive_vulnerability(prob: ExtensionProblem, kernel: GameKernel) -> float:
     """Best relabelled-test score any admissible extension grants the colluder.
 
-    No-signalling class: variables are the full tripartite table under
-    normalization, no-signalling, and marginal-pin equalities. Classical
-    class: variables are weights over deterministic tripartite strategies.
+    No-signalling class: variables are the full tripartite table under the
+    marginal pin and parties 1 and 2's no-signalling, which imply the rest.
+    Classical class: variables are weights over deterministic tripartite strategies.
     """
     i1, i2 = prob.authorized.inputs_per_party
     o1, o2 = prob.authorized.outputs_per_party

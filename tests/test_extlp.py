@@ -1,6 +1,8 @@
 """Extension polytope LPs: vulnerability, shadow distance, capacity equality."""
 
 import json
+from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -47,6 +49,10 @@ def det_pair(f1: int, f2: int) -> Behavior:
 
 def uniform_pair() -> Behavior:
     return Behavior(2, (2, 2), (2, 2), np.full((2, 2, 2, 2), 0.25))
+
+
+def noisy_pr_box(v: float) -> Behavior:
+    return Behavior(2, (2, 2), (2, 2), v * pr_box().table + (1.0 - v) * uniform_pair().table)
 
 
 def one_variable_lp(c: float, a_ub=None, b_ub=None) -> _Lp:
@@ -125,8 +131,7 @@ def test_pr_box_anchors():
 def test_noisy_pr_box_capacity_equals_distance(v):
     # nonlocal instances between the local case and the PR box; the random
     # NS corpus draws local behaviors only, so it compares 0 with 0
-    p12 = Behavior(2, (2, 2), (2, 2), v * pr_box().table + (1.0 - v) * uniform_pair().table)
-    prob = ExtensionProblem(authorized=p12, extension_class=NO_SIGNALLING)
+    prob = ExtensionProblem(authorized=noisy_pr_box(v), extension_class=NO_SIGNALLING)
     expected = max(0.0, v - 0.5)
     assert anticollusion_capacity(prob) == pytest.approx(expected, abs=1e-9)
     assert shadow_tv_distance(prob) == pytest.approx(expected, abs=1e-9)
@@ -280,15 +285,17 @@ def test_one_highs_call_per_record_and_none_for_locality(monkeypatch):
         assert len(calls) == 1, cls
 
 
-def lp_instances():
+def lhv_pairs(n: int) -> list[Behavior]:
     rng = np.random.default_rng(31)
+    return [lhv_behavior(random_lhv_model(rng)) for _ in range(n)]
+
+
+def lp_instances():
     for k in range(11):
-        v = k / 10
-        p12 = Behavior(2, (2, 2), (2, 2), v * pr_box().table + (1.0 - v) * uniform_pair().table)
-        yield p12, NO_SIGNALLING
+        yield noisy_pr_box(k / 10), NO_SIGNALLING
     yield born_behavior(bell_strategy()), NO_SIGNALLING
-    for k in range(20):
-        yield lhv_behavior(random_lhv_model(rng)), (CLASSICAL, NO_SIGNALLING)[k % 2]
+    for k, p12 in enumerate(lhv_pairs(20)):
+        yield p12, (CLASSICAL, NO_SIGNALLING)[k % 2]
 
 
 def test_direct_sum_keeps_each_lp_optimum():
@@ -351,3 +358,75 @@ def test_locality_at_the_facets_and_beyond():
             pr_box(a, b, c) for a, b, c in np.ndindex(2, 2, 2)]:
         with pytest.raises(LpInfeasibleError, match="not local"):
             ExtensionProblem(authorized=p12, extension_class=CLASSICAL)
+
+
+def four_family_rows(p12: Behavior) -> tuple[np.ndarray, np.ndarray]:
+    """Every equality family of the no-signalling extension polytope, stated
+    in full: per-input-triple normalization, the (1,2)-marginal pin for every
+    colluder input, and no-signalling for each of the three parties (88 rows
+    of rank 46 on binary alphabets)."""
+    (i1, i2), (o1, o2) = p12.inputs_per_party, p12.outputs_per_party
+    shape = (i1, i2, i2, o1, o2, o2)
+    n_vars = int(np.prod(shape))
+    basis = np.eye(n_vars).reshape(shape + (n_vars,))
+    blocks = [basis.sum(axis=(3, 4, 5)), np.moveaxis(basis.sum(axis=5), 2, 0)]
+    for k in range(3):
+        summed = np.moveaxis(basis.sum(axis=3 + k), k, 0)
+        blocks.append(summed[1:] - summed[0])
+    rows = np.concatenate([block.reshape(-1, n_vars) for block in blocks])
+    rhs = np.concatenate([np.ones(i1 * i2 * i2), np.tile(p12.table.reshape(-1), i2)])
+    return rows, np.pad(rhs, (0, len(rows) - len(rhs)))
+
+
+def test_equality_block_sizes():
+    lhv = lhv_pairs(1)[0]
+    ns = ExtensionProblem(authorized=lhv, extension_class=NO_SIGNALLING)
+    assert ns.a_eq.shape == (48, 64) and np.linalg.matrix_rank(ns.a_eq) == 46
+    assert len(four_family_rows(lhv)[0]) == 88
+    classical = ExtensionProblem(authorized=lhv, extension_class=CLASSICAL)
+    assert classical.a_eq.shape == (16, 64) and np.linalg.matrix_rank(classical.a_eq) == 9
+
+
+@pytest.mark.parametrize("i1, i2, o1, o2", list(product((1, 2), repeat=4)))
+def test_ns_rows_span_the_four_families(i1, i2, o1, o2):
+    # the pin and two no-signalling families state the same affine system
+    # as all four families: equal rank alone and stacked, with and without
+    # the right-hand side, on a generic local pair of each shape
+    verts = deterministic_behaviors((i1, i2), (o1, o2))
+    weights = np.random.default_rng(i1 + 2 * i2 + 4 * o1 + 8 * o2).dirichlet(np.ones(len(verts)))
+    p12 = Behavior(2, (i1, i2), (o1, o2), np.tensordot(weights, verts, axes=1))
+    prob = ExtensionProblem(authorized=p12, extension_class=NO_SIGNALLING)
+    ref_rows, ref_rhs = four_family_rows(p12)
+    rank = np.linalg.matrix_rank
+    assert rank(prob.a_eq) == rank(ref_rows) == rank(np.vstack([prob.a_eq, ref_rows]))
+    system = np.column_stack([prob.a_eq, prob.b_eq])
+    reference = np.column_stack([ref_rows, ref_rhs])
+    assert rank(system) == rank(reference) == rank(np.vstack([system, reference]))
+
+
+def reference_problem(prob: ExtensionProblem) -> SimpleNamespace:
+    """``prob`` with its equality block replaced by every family in full: the
+    four no-signalling families, or the classical pin plus the weights'
+    normalization row."""
+    if prob.extension_class == NO_SIGNALLING:
+        a_eq, b_eq = four_family_rows(prob.authorized)
+    else:
+        a_eq = np.vstack([prob.a_eq, np.ones((1, prob.a_eq.shape[1]))])
+        b_eq = np.append(prob.b_eq, 1.0)
+    return SimpleNamespace(authorized=prob.authorized, pair13=prob.pair13, a_eq=a_eq, b_eq=b_eq)
+
+
+def test_reference_rows_give_the_same_optima():
+    instances = [(noisy_pr_box(v), NO_SIGNALLING) for v in (0.0, 0.6, 1.0)]
+    instances += [(noisy_pr_box(0.0), CLASSICAL), (born_behavior(bell_strategy()), NO_SIGNALLING)]
+    instances += [(p12, cls) for p12 in lhv_pairs(10) for cls in (CLASSICAL, NO_SIGNALLING)]
+    for p12, cls in instances:
+        prob = ExtensionProblem(authorized=p12, extension_class=cls)
+        ref = reference_problem(prob)
+        assert ref.a_eq.shape[0] > prob.a_eq.shape[0]
+        for build in (_capacity_lp, _distance_lp):
+            ours, theirs = _lp_minima(build(prob))[0], _lp_minima(build(ref))[0]
+            assert ours == pytest.approx(theirs, abs=1e-12), (cls, build.__name__)
+        kernel = chsh_kernel()
+        assert collusive_vulnerability(prob, kernel) == pytest.approx(
+            collusive_vulnerability(ref, kernel), abs=1e-12)
