@@ -155,13 +155,9 @@ def cmd_verify_distance(args: argparse.Namespace) -> int:
     if args.instances < 1:
         raise ValueError("need at least one instance")
     rng = np.random.default_rng(args.seed)
-    records = []
-    max_disc = 0.0
-    for _ in range(args.instances):
-        p12 = extlp.random_ns_behavior(rng)
-        rec = extlp.verification_record(p12, extlp.NO_SIGNALLING)
-        records.append(rec)
-        max_disc = max(max_disc, rec["discrepancy"])
+    p12s = [extlp.random_ns_behavior(rng) for _ in range(args.instances)]
+    records = extlp.verification_records(p12s, extlp.NO_SIGNALLING)
+    max_disc = max(rec["discrepancy"] for rec in records)
     witness_models = 10
     witness_exact = True
     for _ in range(witness_models):

@@ -17,6 +17,7 @@ from itertools import product
 from typing import Literal, NamedTuple
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
@@ -34,6 +35,10 @@ from .behaviors import (
 CLASSICAL = "classical"
 NO_SIGNALLING = "no-signalling"
 ExtensionClass = Literal["classical", "no-signalling"]
+
+# records per HiGHS call in `verification_records`: the time per record is
+# flat from 5 up, while the peak memory grows by about 0.5 MB per record
+RECORDS_PER_CALL = 5
 
 
 class LpInfeasibleError(RuntimeError):
@@ -57,18 +62,24 @@ class _Lp(NamedTuple):
 
 
 def _lp_minima(*lps: _Lp) -> list[float]:
-    """Minimum of each LP, from one HiGHS solve of their direct sum.
+    """Minimum of each LP, from one HiGHS solve of their dense direct sum.
 
     The blocks share no row and no column, so an optimum of the sum restricts
     to an optimum of each block, and block i's value is c_i . x_i. Solving
     several LPs in one call pays linprog's fixed per-call cost (input checks,
-    HiGHS set-up) once; for LPs this small it is about half of each call.
+    HiGHS set-up) once; for LPs this small it is about a third of each call.
     """
+    return _sum_minima(lps, block_diag(*(lp.a_ub for lp in lps)),
+                       block_diag(*(lp.a_eq for lp in lps)))
+
+
+def _sum_minima(lps: list[_Lp], a_ub, a_eq) -> list[float]:
+    """`_lp_minima` given the direct sum's stacked matrices, dense or sparse."""
     res = linprog(
         np.concatenate([lp.c for lp in lps]),
-        A_ub=block_diag(*(lp.a_ub for lp in lps)),
+        A_ub=a_ub,
         b_ub=np.concatenate([lp.b_ub for lp in lps]),
-        A_eq=block_diag(*(lp.a_eq for lp in lps)),
+        A_eq=a_eq,
         b_eq=np.concatenate([lp.b_eq for lp in lps]),
         bounds=np.concatenate([lp.bounds for lp in lps]),
         method="highs",
@@ -309,11 +320,39 @@ def verification_record(p12: Behavior, extension_class: ExtensionClass) -> dict:
     prob = ExtensionProblem(authorized=p12, extension_class=extension_class)
     # both LPs in one HiGHS call; they share no row or column, so each
     # keeps its own optimum and the two formulations stay independent
-    minus_capacity, distance = _lp_minima(_capacity_lp(prob), _distance_lp(prob))
+    return _record(prob, *_lp_minima(_capacity_lp(prob), _distance_lp(prob)))
+
+
+def verification_records(p12s: list[Behavior], extension_class: ExtensionClass) -> list[dict]:
+    """`verification_record` of each behavior, `RECORDS_PER_CALL` per HiGHS call.
+
+    A record's capacity-plus-distance matrix M depends only on the alphabets
+    and the class, so a chunk of k records is the sparse sum kron(I_k, M),
+    and only c, b and the bounds are gathered per record. The problems of
+    one chunk are built at a time. All behaviors share one set of alphabets.
+    """
+    shapes = {(p.inputs_per_party, p.outputs_per_party) for p in p12s}
+    if len(shapes) > 1:
+        raise ValueError("verification_records takes behaviors on one set of alphabets")
+    records: list[dict] = []
+    for start in range(0, len(p12s), RECORDS_PER_CALL):
+        probs = [ExtensionProblem(authorized=p12, extension_class=extension_class)
+                 for p12 in p12s[start:start + RECORDS_PER_CALL]]
+        lps = [lp for prob in probs for lp in (_capacity_lp(prob), _distance_lp(prob))]
+        cap, dist = lps[:2]  # M is the first record's; csc_array keeps nonzeros only
+        eye = sparse.identity(len(probs), format="csc")
+        a_ub, a_eq = (sparse.kron(eye, sparse.csc_array(block_diag(m_cap, m_dist)), format="csc")
+                      for m_cap, m_dist in ((cap.a_ub, dist.a_ub), (cap.a_eq, dist.a_eq)))
+        minima = _sum_minima(lps, a_ub, a_eq)
+        records += [_record(prob, *minima[2 * i:2 * i + 2]) for i, prob in enumerate(probs)]
+    return records
+
+
+def _record(prob: ExtensionProblem, minus_capacity: float, distance: float) -> dict:
     capacity = max(0.0, -minus_capacity)
     return {
-        "behavior": behavior_to_json(p12),
-        "class": extension_class,
+        "behavior": behavior_to_json(prob.authorized),
+        "class": prob.extension_class,
         "capacity": capacity,
         "distance": distance,
         "discrepancy": abs(capacity - distance),

@@ -432,6 +432,47 @@ def test_verify_distance_solver_failure_exits_4(monkeypatch, capsys, status):
     assert captured.err == f"solver error: LP solver failure (status {status}): stub\n"
 
 
+def test_verify_distance_matches_single_records(tmp_path):
+    # the CLI solves its records in chunks; its bytes are those of the
+    # one-record path on the same draws, then the summary
+    code, out = run_to_file(
+        tmp_path, "corpus.jsonl", ["verify-distance", "--instances", "11", "--seed", "3"]
+    )
+    assert code == EXIT_OK
+    rng = np.random.default_rng(3)
+    records = [extlp.verification_record(extlp.random_ns_behavior(rng), extlp.NO_SIGNALLING)
+               for _ in range(11)]
+    summary = {
+        "summary": True,
+        "instances": 11,
+        "max_discrepancy": max(rec["discrepancy"] for rec in records),
+        "copied_seed_models": 10,
+        "copied_seed_exact": True,
+    }
+    assert out.read_text() == extlp.corpus_to_jsonl(records) + json.dumps(summary) + "\n"
+
+
+def test_verify_distance_fails_on_a_later_chunk_exits_4(monkeypatch, tmp_path, capsys):
+    # a failure in the second HiGHS call still exits 4 and writes nothing
+    real_linprog = extlp.linprog
+    calls = []
+
+    def second_call_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            return SimpleNamespace(status=4, message="stub", fun=0.0)
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(extlp, "linprog", second_call_fails)
+    code, out = run_to_file(tmp_path, "corpus.jsonl", ["verify-distance", "--instances", "6"])
+    assert code == EXIT_SOLVER
+    assert len(calls) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "solver error: LP solver failure (status 4): stub\n"
+    assert not out.exists()
+
+
 def test_verify_distance_inexact_witness_exits_3(monkeypatch, tmp_path, capsys):
     # random_lhv_model keeps every probability dyadic so that C13 = A12 holds
     # bit for bit; generic floats make the two scores round apart

@@ -34,6 +34,7 @@ from nonshare.extlp import (
     random_ns_behavior,
     shadow_tv_distance,
     verification_record,
+    verification_records,
     _Lp,
     _capacity_lp,
     _distance_lp,
@@ -195,6 +196,7 @@ def test_size_one_alphabets(inputs, outputs):
         record = verification_record(p12, cls)
         assert record["capacity"] == pytest.approx(0.0, abs=1e-9)
         assert record["distance"] == pytest.approx(0.0, abs=1e-9)
+        assert verification_records([p12, p12], cls) == [record, record]
 
 
 def test_capacity_equals_distance_on_random_ns_corpus():
@@ -288,6 +290,40 @@ def test_one_highs_call_per_record_and_none_for_locality(monkeypatch):
 def lhv_pairs(n: int) -> list[Behavior]:
     rng = np.random.default_rng(31)
     return [lhv_behavior(random_lhv_model(rng)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 6, 11])
+def test_chunked_records_equal_single_records(monkeypatch, n):
+    # the first chunk mixes nonlocal boxes with local pairs and the Bell
+    # behavior, so one kron(I_k, M) sum holds optima of every kind
+    lhv = lhv_pairs(7)
+    boxes = {0: 0.6, 2: 0.8, 4: 1.0}
+    pool = [noisy_pr_box(0.6), lhv[0], noisy_pr_box(0.8), born_behavior(bell_strategy()),
+            noisy_pr_box(1.0), *lhv[1:]]
+    singles = [verification_record(p12, NO_SIGNALLING) for p12 in pool[:n]]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(extlp, "linprog", counted)
+    records = verification_records(pool[:n], NO_SIGNALLING)
+    assert len(calls) == -(-n // 5)  # five records per HiGHS call
+    # repr round-trips every float, so equal lines are equal bits
+    assert corpus_to_jsonl(records) == corpus_to_jsonl(singles)
+    for k, v in boxes.items():
+        if k < n:
+            assert records[k]["capacity"] == pytest.approx(v - 0.5, abs=1e-9)
+            assert records[k]["distance"] == pytest.approx(v - 0.5, abs=1e-9)
+
+
+def test_chunked_records_take_one_set_of_alphabets():
+    narrow = Behavior(2, (1, 2), (2, 2), deterministic_behaviors((1, 2), (2, 2)).mean(axis=0))
+    with pytest.raises(ValueError, match="one set of alphabets"):
+        verification_records([pr_box(), narrow], NO_SIGNALLING)
+    with pytest.raises(LpInfeasibleError):
+        verification_records([lhv_pairs(1)[0], pr_box()], CLASSICAL)
 
 
 def lp_instances():
