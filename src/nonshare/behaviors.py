@@ -27,7 +27,14 @@ class Behavior:
 
     def __post_init__(self) -> None:
         table = np.asarray(self.table, dtype=float)
-        shape = tuple(self.inputs_per_party) + tuple(self.outputs_per_party)
+        # alphabets are stored as tuples of int, which hash and compare alike
+        # whether they came as lists, tuples or numpy integers
+        for name in ("inputs_per_party", "outputs_per_party"):
+            sizes = tuple(getattr(self, name))
+            if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in sizes):
+                raise ValueError(f"{name} must hold positive integers, got {sizes}")
+            object.__setattr__(self, name, tuple(int(v) for v in sizes))
+        shape = self.inputs_per_party + self.outputs_per_party
         if len(self.inputs_per_party) != self.n_parties or len(self.outputs_per_party) != self.n_parties:
             raise ValueError("alphabet lists must have one entry per party")
         if table.shape != shape:

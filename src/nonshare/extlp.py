@@ -61,20 +61,17 @@ class _Lp(NamedTuple):
     bounds: np.ndarray
 
 
-def _lp_minima(*lps: _Lp) -> list[float]:
-    """Minimum of each LP, from one HiGHS solve of their dense direct sum.
+def _lp_minima(lps: list[_Lp], a_ub, a_eq) -> list[float]:
+    """Minimum of each LP, from one HiGHS solve of their direct sum.
 
-    The blocks share no row and no column, so an optimum of the sum restricts
-    to an optimum of each block, and block i's value is c_i . x_i. Solving
-    several LPs in one call pays linprog's fixed per-call cost (input checks,
-    HiGHS set-up) once; for LPs this small it is about a third of each call.
+    ``a_ub`` and ``a_eq`` are the sum's stacked constraint matrices, dense
+    or sparse: one LP's own, or `_record_matrices` for chunks of records.
+    The blocks share no row and no column, so an optimum of the sum
+    restricts to an optimum of each block, and block i's value is c_i . x_i.
+    Solving several LPs in one call pays linprog's fixed per-call cost
+    (input checks, HiGHS set-up) once; for LPs this small it is about a
+    third of each call.
     """
-    return _sum_minima(lps, block_diag(*(lp.a_ub for lp in lps)),
-                       block_diag(*(lp.a_eq for lp in lps)))
-
-
-def _sum_minima(lps: list[_Lp], a_ub, a_eq) -> list[float]:
-    """`_lp_minima` given the direct sum's stacked matrices, dense or sparse."""
     res = linprog(
         np.concatenate([lp.c for lp in lps]),
         A_ub=a_ub,
@@ -214,7 +211,7 @@ def collusive_vulnerability(prob: ExtensionProblem, kernel: GameKernel) -> float
     c = (kernel.values / (i1 * i2)).reshape(-1) @ prob.pair13
     n_ext = len(c)
     lp = _Lp(-c, np.zeros((0, n_ext)), np.zeros(0), prob.a_eq, prob.b_eq, _nonnegative(n_ext))
-    return -_lp_minima(lp)[0]
+    return -_lp_minima([lp], lp.a_ub, lp.a_eq)[0]
 
 
 def shadow_tv_distance(prob: ExtensionProblem) -> float:
@@ -224,7 +221,8 @@ def shadow_tv_distance(prob: ExtensionProblem) -> float:
     slacks u >= +-(P12 - Q), with Q the relabelled (1,3) marginal and pi
     uniform over input pairs.
     """
-    return _lp_minima(_distance_lp(prob))[0]
+    lp = _distance_lp(prob)
+    return _lp_minima([lp], lp.a_ub, lp.a_eq)[0]
 
 
 def _distance_lp(prob: ExtensionProblem) -> _Lp:
@@ -259,7 +257,8 @@ def anticollusion_capacity(prob: ExtensionProblem) -> float:
     product extension, or a mixture of deterministic tables, which exists
     for a local pair).
     """
-    return max(0.0, -_lp_minima(_capacity_lp(prob))[0])
+    lp = _capacity_lp(prob)
+    return max(0.0, -_lp_minima([lp], lp.a_ub, lp.a_eq)[0])
 
 
 def _capacity_lp(prob: ExtensionProblem) -> _Lp:
@@ -316,47 +315,62 @@ def random_lhv_model(rng: np.random.Generator) -> LhvModel:
 
 
 def verification_record(p12: Behavior, extension_class: ExtensionClass) -> dict:
-    """Capacity-equals-distance check for one instance, as a JSON record."""
-    prob = ExtensionProblem(authorized=p12, extension_class=extension_class)
-    # both LPs in one HiGHS call; they share no row or column, so each
-    # keeps its own optimum and the two formulations stay independent
-    return _record(prob, *_lp_minima(_capacity_lp(prob), _distance_lp(prob)))
+    """Capacity-equals-distance check for one instance, as a JSON record:
+    `verification_records` of a chunk of one."""
+    return verification_records([p12], extension_class)[0]
 
 
 def verification_records(p12s: list[Behavior], extension_class: ExtensionClass) -> list[dict]:
-    """`verification_record` of each behavior, `RECORDS_PER_CALL` per HiGHS call.
+    """Capacity-equals-distance records, `RECORDS_PER_CALL` per HiGHS call.
 
-    A record's capacity-plus-distance matrix M depends only on the alphabets
-    and the class, so a chunk of k records is the sparse sum kron(I_k, M),
-    and only c, b and the bounds are gathered per record. The problems of
-    one chunk are built at a time. All behaviors share one set of alphabets.
+    A record solves its capacity and distance LPs together; they share no
+    row or column, so each keeps its own optimum and the two formulations
+    stay independent. A chunk of k records is the sparse sum kron(I_k, M)
+    of `_record_matrices`, and only c, b and the bounds are gathered per
+    record. The problems of one chunk are built at a time. All behaviors
+    share one set of alphabets.
     """
     shapes = {(p.inputs_per_party, p.outputs_per_party) for p in p12s}
     if len(shapes) > 1:
         raise ValueError("verification_records takes behaviors on one set of alphabets")
     records: list[dict] = []
     for start in range(0, len(p12s), RECORDS_PER_CALL):
+        chunk = p12s[start:start + RECORDS_PER_CALL]
         probs = [ExtensionProblem(authorized=p12, extension_class=extension_class)
-                 for p12 in p12s[start:start + RECORDS_PER_CALL]]
+                 for p12 in chunk]
         lps = [lp for prob in probs for lp in (_capacity_lp(prob), _distance_lp(prob))]
-        cap, dist = lps[:2]  # M is the first record's; csc_array keeps nonzeros only
-        eye = sparse.identity(len(probs), format="csc")
-        a_ub, a_eq = (sparse.kron(eye, sparse.csc_array(block_diag(m_cap, m_dist)), format="csc")
-                      for m_cap, m_dist in ((cap.a_ub, dist.a_ub), (cap.a_eq, dist.a_eq)))
-        minima = _sum_minima(lps, a_ub, a_eq)
-        records += [_record(prob, *minima[2 * i:2 * i + 2]) for i, prob in enumerate(probs)]
+        minima = _lp_minima(lps, *_record_matrices(
+            chunk[0].inputs_per_party, chunk[0].outputs_per_party, extension_class, len(chunk)))
+        for prob, minus_capacity, distance in zip(probs, minima[::2], minima[1::2]):
+            capacity = max(0.0, -minus_capacity)
+            records.append({
+                "behavior": behavior_to_json(prob.authorized),
+                "class": prob.extension_class,
+                "capacity": capacity,
+                "distance": distance,
+                "discrepancy": abs(capacity - distance),
+            })
     return records
 
 
-def _record(prob: ExtensionProblem, minus_capacity: float, distance: float) -> dict:
-    capacity = max(0.0, -minus_capacity)
-    return {
-        "behavior": behavior_to_json(prob.authorized),
-        "class": prob.extension_class,
-        "capacity": capacity,
-        "distance": distance,
-        "discrepancy": abs(capacity - distance),
-    }
+@cache
+def _record_matrices(inputs: tuple[int, ...], outputs: tuple[int, ...],
+                     extension_class: ExtensionClass, k: int) -> tuple[sparse.csc_array, ...]:
+    """kron(I_k, M) for the inequality and the equality rows, in CSC form
+    and read-only: M is one record's capacity-plus-distance matrix, stored
+    without explicit zeros. It depends only on the alphabets and the class,
+    so it is read off the uniform behavior, which is local."""
+    uniform = np.full(inputs + outputs, 1.0 / np.prod(outputs))
+    prob = ExtensionProblem(authorized=Behavior(2, inputs, outputs, uniform),
+                            extension_class=extension_class)
+    cap, dist = _capacity_lp(prob), _distance_lp(prob)
+    eye = sparse.identity(k, format="csc")
+    sums = tuple(sparse.kron(eye, sparse.csc_array(block_diag(m_cap, m_dist)), format="csc")
+                 for m_cap, m_dist in ((cap.a_ub, dist.a_ub), (cap.a_eq, dist.a_eq)))
+    for m in sums:
+        for part in (m.data, m.indices, m.indptr):
+            part.flags.writeable = False
+    return sums
 
 
 def corpus_to_jsonl(records: list[dict]) -> str:

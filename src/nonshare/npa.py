@@ -191,6 +191,8 @@ def assemble(
 ) -> MomentProblem:
     if not 0.0 <= alpha <= 2.0:
         raise ValueError("alpha must lie in [0, 2]")
+    if not isfinite(s):
+        raise ValueError("threshold s must be finite")
     if s > quantum_maximum(alpha) + BOUNDARY_BAND:
         raise ValueError("threshold s exceeds the quantum maximum")
     structure = structure if structure is not None else _default_structure()

@@ -21,6 +21,8 @@ from nonshare.behaviors import (
     pr_box,
     relabel_13_to_12,
 )
+from nonshare.extlp import NO_SIGNALLING, verification_record, verification_records
+from nonshare.finitedata import sample_behavior_trials
 from nonshare.qkernel import TSIRELSON, bell_strategy, born_behavior
 
 
@@ -52,9 +54,28 @@ def test_behavior_validation():
         nan_table[cell] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             Behavior(2, (2, 2), (2, 2), nan_table)
+    for sizes in ((2.0, 2.0), (2, 2.5), (0, 2), ("2", 2)):
+        with pytest.raises(ValueError, match="positive integers"):
+            Behavior(2, sizes, (2, 2), np.full((2, 2, 2, 2), 0.25))
+        with pytest.raises(ValueError, match="positive integers"):
+            Behavior(2, (2, 2), sizes, np.full((2, 2, 2, 2), 0.25))
     p = uniform_pair()
     assert not p.table.flags.writeable
     assert p.n_inputs == 4
+
+
+def test_alphabets_are_stored_as_tuples_of_int():
+    as_tuples = pr_box()
+    for inputs, outputs in (([2, 2], [2, 2]), (np.array([2, 2]), (np.int64(2), 2))):
+        p = Behavior(2, inputs, outputs, as_tuples.table)
+        assert p.inputs_per_party == p.outputs_per_party == (2, 2)
+        assert all(type(v) is int for v in p.inputs_per_party + p.outputs_per_party)
+        record = verification_record(as_tuples, NO_SIGNALLING)
+        assert verification_record(p, NO_SIGNALLING) == record
+        assert verification_records([p, as_tuples], NO_SIGNALLING) == [record, record]
+        ours, theirs = sample_behavior_trials(p, 50, 3), sample_behavior_trials(as_tuples, 50, 3)
+        for name in ("x", "y", "a", "b"):
+            assert np.array_equal(getattr(ours, name), getattr(theirs, name))
 
 
 def test_marginal_averages_and_flags_signalling():

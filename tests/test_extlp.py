@@ -39,6 +39,7 @@ from nonshare.extlp import (
     _capacity_lp,
     _distance_lp,
     _lp_minima,
+    _record_matrices,
 )
 from nonshare.qkernel import bell_strategy, born_behavior
 
@@ -64,13 +65,18 @@ def one_variable_lp(c: float, a_ub=None, b_ub=None) -> _Lp:
                np.array([[0.0, np.inf]]))
 
 
+def minimum(lp: _Lp) -> float:
+    """One LP solved alone, on its own matrices."""
+    return _lp_minima([lp], lp.a_ub, lp.a_eq)[0]
+
+
 def test_lp_solve_infeasible_and_unbounded():
     with pytest.raises(LpInfeasibleError):
-        _lp_minima(one_variable_lp(1.0, [[1.0]], [-1.0]))
+        minimum(one_variable_lp(1.0, [[1.0]], [-1.0]))
     # no LP built from an ExtensionProblem is unbounded, so HiGHS's status 3
     # can only mean numerical trouble
     with pytest.raises(LpNumericalError, match="status 3"):
-        _lp_minima(one_variable_lp(-1.0))
+        minimum(one_variable_lp(-1.0))
 
 
 def test_extension_problem_validation():
@@ -336,13 +342,34 @@ def lp_instances():
 
 def test_direct_sum_keeps_each_lp_optimum():
     # the blocks share no row and no column, so solving them together gives
-    # each one's own minimum
+    # each one's own optimum: a record's capacity and distance equal those
+    # of the two LPs solved alone on their own matrices
     for p12, cls in lp_instances():
         prob = ExtensionProblem(authorized=p12, extension_class=cls)
-        cap, dist = _capacity_lp(prob), _distance_lp(prob)
-        together = _lp_minima(cap, dist)
-        apart = [_lp_minima(cap)[0], _lp_minima(dist)[0]]
+        record = verification_record(p12, cls)
+        together = [record["capacity"], record["distance"]]
+        apart = [anticollusion_capacity(prob), shadow_tv_distance(prob)]
         assert together == pytest.approx(apart, abs=1e-12), (cls, together, apart)
+
+
+def test_record_matrices_are_built_once_and_never_changed():
+    _record_matrices.cache_clear()
+    verification_records(lhv_pairs(11), NO_SIGNALLING)  # chunks of 5, 5 and 1
+    for p12 in lhv_pairs(3):
+        verification_record(p12, NO_SIGNALLING)
+        verification_record(p12, CLASSICAL)
+    assert _record_matrices.cache_info().misses == 3  # (NS, 5), (NS, 1), (classical, 1)
+    for cls, k in ((NO_SIGNALLING, 5), (NO_SIGNALLING, 1), (CLASSICAL, 1)):
+        cached = _record_matrices((2, 2), (2, 2), cls, k)
+        fresh = _record_matrices.__wrapped__((2, 2), (2, 2), cls, k)
+        for m, ref in zip(cached, fresh):
+            assert m.shape == ref.shape and m.format == ref.format == "csc"
+            for part, ref_part in ((m.data, ref.data), (m.indices, ref.indices),
+                                   (m.indptr, ref.indptr)):
+                assert np.array_equal(part, ref_part)
+                assert not part.flags.writeable
+            assert np.all(m.data != 0.0)  # no explicit zeros
+    assert _record_matrices.cache_info().misses == 3
 
 
 def chsh_forms(table: np.ndarray) -> np.ndarray:
@@ -461,7 +488,7 @@ def test_reference_rows_give_the_same_optima():
         ref = reference_problem(prob)
         assert ref.a_eq.shape[0] > prob.a_eq.shape[0]
         for build in (_capacity_lp, _distance_lp):
-            ours, theirs = _lp_minima(build(prob))[0], _lp_minima(build(ref))[0]
+            ours, theirs = minimum(build(prob)), minimum(build(ref))
             assert ours == pytest.approx(theirs, abs=1e-12), (cls, build.__name__)
         kernel = chsh_kernel()
         assert collusive_vulnerability(prob, kernel) == pytest.approx(

@@ -118,6 +118,11 @@ def test_assemble_range_guards():
         assemble(2.5, 2.5)
     with pytest.raises(ValueError, match="quantum maximum"):
         assemble(0.0, 3.0)
+    # NaN passes the ordered comparison with the quantum maximum, and -inf
+    # lies below it; neither is a threshold the solver can work with
+    for s in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            assemble(0.5, s)
 
 
 def test_moment_matrix_at_zero_vector():
