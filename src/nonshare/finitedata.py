@@ -211,9 +211,10 @@ def samples_for_onset(s_true: float, alpha: float) -> int:
     """Smallest per-cell count making s_lcb exceed 2 when s_hat = s_true.
 
     Closed-form inversion of the radius: ceil(32 ln(8/alpha) / (s_true - 2)^2).
+    A CHSH score is at most 4, so s_true must lie in (2, 4]; NaN does not.
     """
-    if s_true <= 2.0:
-        raise ValueError("onset unreachable: the true score must exceed 2")
+    if not 2.0 < s_true <= 4.0:
+        raise ValueError(f"onset unreachable: the true score must lie in (2, 4], got {s_true}")
     _check_alpha(alpha)
     return ceil(32.0 * log(8.0 / alpha) / (s_true - 2.0) ** 2)
 

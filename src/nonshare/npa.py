@@ -20,6 +20,7 @@ bound proven from its dual pair alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cache, cached_property
 from math import isfinite, sqrt
 
@@ -32,9 +33,7 @@ Word = tuple[str, ...]
 
 LETTERS = ("A0", "A1", "B0", "B1", "C0", "C1")
 
-EPS_GAP = 1e-6
-EPS_AFFINE = 1e-5
-EPS_PSD = 1e-7
+CERTIFIED_WIDTH = 1e-7  # the largest upper_bound - primal of a certified row
 
 DEFAULT_EPS_ABS = 1e-9
 DEFAULT_EPS_REL = 1e-9
@@ -64,15 +63,7 @@ def build_word_set() -> list[Word]:
     words: list[Word] = [()]
     words += [(letter,) for letter in LETTERS]
     words += [("A0", "A1"), ("B0", "B1"), ("C0", "C1")]
-    for x in ("A0", "A1"):
-        for y in ("B0", "B1"):
-            words.append((x, y))
-    for x in ("A0", "A1"):
-        for z in ("C0", "C1"):
-            words.append((x, z))
-    for y in ("B0", "B1"):
-        for z in ("C0", "C1"):
-            words.append((y, z))
+    words += [(p + i, q + j) for p, q in ("AB", "AC", "BC") for i in "01" for j in "01"]
     return words
 
 
@@ -207,8 +198,11 @@ def assemble(
 
 @dataclass(frozen=True)
 class MomentSolution:
-    """Solver output with the five certificate diagnostics and a proven
-    upper bound on the relaxation's value (NaN when there is no dual)."""
+    """Solver output with an upper bound proven from its dual pair (NaN with no
+    dual). `certified` means the relaxation's value lies in [primal,
+    upper_bound], at most CERTIFIED_WIDTH wide: primal is obj.x at an x with
+    Gamma(x) proven positive definite and con.x >= s in exact arithmetic.
+    `status` says how the solver stopped; `min_eig` is a diagnostic only."""
 
     primal: float
     dual: float
@@ -221,24 +215,9 @@ class MomentSolution:
     iterations: int
 
 
-def certify_point(sol: MomentSolution) -> bool:
-    """Five-way conjunction: optimal status, dual present, small gap,
-    small affine residual, moment matrix PSD up to eigenvalue tolerance."""
-    return bool(
-        sol.status == "optimal"
-        and np.isfinite(sol.dual)
-        and sol.gap < EPS_GAP
-        and sol.max_residual < EPS_AFFINE
-        and sol.min_eig >= -EPS_PSD
-    )
-
-
 def moment_matrix(prob: MomentProblem, x: np.ndarray) -> np.ndarray:
     """Gamma(x): identity at constant entries, x_k at entries of variable k."""
-    entry = prob.structure.entry_vars
-    gamma = (entry == -1).astype(float)
-    np.copyto(gamma, x[entry], where=entry >= 0)
-    return gamma
+    return prob.structure._gamma.linear(x) + prob.structure._gamma.constant
 
 
 class _GammaMap:
@@ -307,6 +286,29 @@ class _GammaMap:
         return 2.0 * (h + h.T) - np.diag(2.0 * np.bincount(self.var, weights=q[diagonal]))
 
 
+def _pd_shift(a: np.ndarray) -> float:
+    """The first delta of 0, h, 2h, 4h, ... (h the c below at delta = 0) for
+    which a + delta I is proven positive definite; inf if a is not finite.
+    Rump's theorem (BIT 46 (2006) 433-452): in IEEE 754 doubles rounding to
+    nearest, a Cholesky without fast matrix products that completes on a
+    symmetric n x n B proves lambda_min(B) >= -gamma_{n+1} / (1 - gamma_{n+1})
+    tr(B), up to underflow. So delta passes when b = a + delta I has a positive
+    diagonal and potrf completes on b's lower triangle less c I, with c over
+    |b_ii| exceeding that bound plus the roundings of tr(b), c, b and b - c I."""
+    n, eps, tiny = a.shape[0], np.finfo(float).eps, np.finfo(float).tiny
+    delta = 0.0
+    while np.isfinite(a).all() and isfinite(delta):
+        diag = np.diag(a) + delta
+        c = ((n + 2) * eps / (1 - (n + 2) * eps) * np.abs(diag).sum()
+             + 4 * n * (2 * n + 2 + np.abs(diag).max()) * tiny)
+        b = a.copy()
+        np.fill_diagonal(b, diag - c)
+        if (diag > 0.0).all() and lapack.dpotrf(b, lower=1)[1] == 0:
+            return delta
+        delta = 2.0 * delta if delta else c
+    return float("inf")
+
+
 def dual_upper_bound(prob: MomentProblem, w: float, w_mat: np.ndarray) -> float:
     """Upper bound on the relaxation's value proven from any dual pair (w, W).
 
@@ -318,35 +320,31 @@ def dual_upper_bound(prob: MomentProblem, w: float, w_mat: np.ndarray) -> float:
     x obeys
 
         obj.x = tr(W) - s wbar + r.x - <W, Gamma(x)> - wbar (con.x - s)
-              <= tr(W) - s wbar + |r|_1 + d max(0, -lambda_min(W)),
+              <= tr(W) - s wbar + |r|_1 + d delta,
 
     because Gamma(x) is PSD with unit diagonal, so |x_k| <= 1 and
-    <W, Gamma(x)> >= lambda_min(W) tr(Gamma(x)) = lambda_min(W) d. The first
-    two terms are the solver's dual value. Rounding is covered by a margin in
-    the style of Jansson, Chaykin & Keil (SIAM J. Numer. Anal. 2008): a term
-    that passes through at most k roundings is off by at most k eps times its
-    absolute value, and LAPACK's eigenvalues are exact for a matrix within
-    about d eps |W|_F of W. Each entry of W's lower triangle enters one sum,
-    tr(W) or G*(W), of at most d(d+1)/2 terms, then the n-term 1-norm and
-    the four-term total, so k = d(d+1)/2 + n + d + 4 covers both; the margin
-    doubles it.
+    <W, Gamma(x)> >= lambda_min(W) tr(Gamma(x)) >= -delta d, with W + delta I
+    proven positive definite by `_pd_shift`. The first two terms are the
+    solver's dual value. Rounding is covered by a margin in the style of
+    Jansson, Chaykin & Keil (SIAM J. Numer. Anal. 46 (2008)): a term that
+    passes through at most k roundings is off by at most k eps times its
+    absolute value. Each entry of W's lower triangle enters one sum, tr(W) or
+    G*(W), of at most d(d+1)/2 terms, then the n-term 1-norm and the
+    four-term total, so k = d(d+1)/2 + n + d + 4 covers every term; the
+    margin doubles it.
     """
     d, n = prob.structure.n_words, prob.structure.n_variables
     w_mat = np.tril(w_mat) + np.tril(w_mat, -1).T
-    w_bar = max(w, 0.0)
+    w_bar, delta = max(w, 0.0), _pd_shift(w_mat)
     gmap = _GammaMap(prob.structure.entry_vars)
     residual = prob.objective + gmap.adjoint(w_mat) + w_bar * prob.constraint
-    value = (
-        np.trace(w_mat) - prob.s * w_bar
-        + np.abs(residual).sum()
-        + d * max(0.0, -float(np.linalg.eigvalsh(w_mat)[0]))
-    )
+    value = np.trace(w_mat) - prob.s * w_bar + np.abs(residual).sum() + d * delta
     magnitude = (
         np.abs(w_mat).sum()
         + (abs(prob.s) + np.abs(prob.constraint).sum()) * w_bar
         + np.abs(prob.objective).sum()
         + np.abs(residual).sum()
-        + d * np.linalg.norm(w_mat)
+        + d * delta
     )
     eps = np.finfo(float).eps
     return float(value + 2.0 * (d * (d + 1) // 2 + n + d + 4) * eps * magnitude)
@@ -499,9 +497,11 @@ def _interior_point(
         w_mat, w = w_mat + tw * dw_mat, w + tw * dw
         it += 1
     x, w_mat, w, z_mat, primal, dual, pres, dres, gap = best[1]
-    sol = MomentSolution(primal, dual, dual_upper_bound(prob, w, w_mat), gap, max(pres, dres),
-                         float(np.linalg.eigvalsh(z_mat)[0]), status, False, it)
-    return replace(sol, certified=certify_point(sol))
+    upper = dual_upper_bound(prob, w, w_mat)
+    row = sum(Fraction(c) * Fraction(v) for c, v in zip(con.tolist(), x.tolist()) if c)
+    certified = upper - primal <= CERTIFIED_WIDTH and row >= s and _pd_shift(z_mat) == 0.0
+    return MomentSolution(primal, dual, upper, gap, max(pres, dres),
+                          float(np.linalg.eigvalsh(z_mat)[0]), status, certified, it)
 
 
 def sdp_solve(

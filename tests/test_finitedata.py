@@ -208,6 +208,12 @@ def test_samples_for_onset_frozen_values():
         samples_for_onset(2.0, 0.01)
     with pytest.raises(ValueError):
         samples_for_onset(2.5, 0.0)
+    # no CHSH score exceeds 4: these once gave 0 trials, an OverflowError and
+    # a failed integer conversion
+    for impossible in (float("inf"), 1e300, float("nan"), 4.0 + 1e-9):
+        with pytest.raises(ValueError, match="onset unreachable"):
+            samples_for_onset(impossible, 0.01)
+    assert samples_for_onset(4.0, 0.01) == ceil(32.0 * log(800.0) / 4.0)
 
 
 def test_samples_for_onset_inverts_radius():

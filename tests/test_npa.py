@@ -1,8 +1,10 @@
 """Moment-matrix relaxation: word algebra, assembly, solver, scan, IO."""
 
+import threading
 import warnings
 from dataclasses import replace
-from math import cos, sin, sqrt
+from fractions import Fraction
+from math import cos, lcm, sin, sqrt
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from nonshare.npa import (
     build_structure,
     build_word_set,
     canonicalize,
-    certify_point,
     classical_bound,
     dual_upper_bound,
     moment_matrix,
@@ -226,8 +227,10 @@ def sweep_thresholds(alpha):
 
 
 # the sweep's points that do not certify, as (alpha, s to six digits), with
-# the libraries of FROZEN_ITERATIONS
-SWEEP_UNCERTIFIED = {(1.75, 3.750208), (1.75, 3.750624)}
+# the libraries of FROZEN_ITERATIONS; (1.75, 3.750208) and (1.75, 3.750624)
+# stop as optimal_inaccurate with proven widths of 1.7e-8 and 2.7e-8, and
+# certify since the flag rests on the enclosure alone
+SWEEP_UNCERTIFIED = set()
 
 
 @pytest.mark.parametrize("alpha", [0.25 * i for i in range(8)])
@@ -424,7 +427,7 @@ def test_upper_bound_encloses_the_attained_score(alpha, s):
     rng = np.random.default_rng(17)
     d = STRUCTURE.n_words
     assert dual_upper_bound(prob, 0.0, np.zeros((d, d))) >= np.abs(prob.objective).sum()
-    # a negative diagonal lowers tr(W) by 22 and only the eigenvalue term restores it
+    # a negative diagonal lowers tr(W) by 22 and only the shift term restores it
     assert dual_upper_bound(prob, 0.0, -np.eye(d)) >= source
     for _ in range(3):
         half = rng.standard_normal((d, d))
@@ -462,17 +465,164 @@ def test_partner_swap_symmetry():
     assert a.primal == pytest.approx(b.primal, abs=5e-6)
 
 
-def test_certify_point_conjunction():
-    good = MomentSolution(
-        primal=1.0, dual=1.0, upper_bound=1.0, gap=1e-8, max_residual=1e-7, min_eig=-1e-9,
-        status="optimal", certified=False, iterations=10,
-    )
-    assert certify_point(good)
-    assert not certify_point(replace(good, status="optimal_inaccurate"))
-    assert not certify_point(replace(good, gap=1.7e-4))
-    assert not certify_point(replace(good, max_residual=2e-5))
-    assert not certify_point(replace(good, min_eig=-1e-6))
-    assert not certify_point(replace(good, dual=float("nan")))
+def test_certified_means_a_proven_enclosure(monkeypatch):
+    # the flag is the proven enclosure, not how the solver stopped: a capped
+    # solve certifies when its width is small (caps 1 and 5 at (0.5,
+    # 2.711267) do not: see test_sdp_solve_stops_at_the_iteration_cap)
+    prob = assemble(0.5, 2.5, STRUCTURE)
+    capped = sdp_solve(prob, max_iters=12)
+    assert capped.status == "optimal_inaccurate" and capped.certified
+    assert 0.0 <= capped.upper_bound - capped.primal <= npa.CERTIFIED_WIDTH
+    # the same iterate with a wider proven bound does not certify
+    for width, certified in ((2e-7, False), (0.5e-7, True)):
+        monkeypatch.setattr(npa, "dual_upper_bound", lambda *_: capped.primal + width)
+        assert sdp_solve(prob, max_iters=12).certified is certified
+    monkeypatch.undo()
+    # nor does the first iterate, still short of the threshold row, at width 0
+    early = assemble(0.5, 2.711267, STRUCTURE)
+    primal = sdp_solve(early, max_iters=1).primal
+    monkeypatch.setattr(npa, "dual_upper_bound", lambda *_: primal)
+    assert not sdp_solve(early, max_iters=1).certified
+    monkeypatch.undo()
+    # nor does an iterate whose moment matrix the verified test does not pass
+    shift = npa._pd_shift
+    monkeypatch.setattr(npa, "_pd_shift", lambda a: 1.0 if np.all(np.diag(a) == 1.0) else shift(a))
+    assert not sdp_solve(prob, max_iters=12).certified
+    monkeypatch.undo()
+    # rows in the 1e-6 band of the quantum maximum never certify
+    for alpha in (0.0, 0.5, 1.5):
+        sol = sdp_solve(assemble(alpha, quantum_maximum(alpha) - 5e-7, STRUCTURE))
+        assert sol.status == "boundary" and not sol.certified
+
+
+def exactly_positive_definite(a, shift=Fraction(0)):
+    """Sylvester's test in exact arithmetic: every leading minor of a + shift I
+    is positive. The minors are the pivots of fraction-free (Bareiss)
+    elimination on the matrix scaled to integers."""
+    n = a.shape[0]
+    rows = [[Fraction(v) for v in row] for row in a.tolist()]
+    for i in range(n):
+        rows[i][i] += shift
+    scale = lcm(*(f.denominator for row in rows for f in row))
+    m = [[int(f * scale) for f in row] for row in rows]
+    previous = 1
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]) // previous
+        previous = pivot
+    return True
+
+
+def exact_upper_bound(prob, w, w_mat, delta):
+    """dual_upper_bound's inequality in exact arithmetic, from the entry map
+    alone: <G0, W> - s wbar + |obj + G*(W) + wbar con|_1 + d shift, the shift
+    0 when W is exactly positive definite, else the first of delta / 8,
+    delta / 4, delta / 2 and delta at which W + shift I is."""
+    d = prob.structure.n_words
+    mirrored = np.tril(w_mat) + np.tril(w_mat, -1).T
+    for shift in (Fraction(0),) + tuple(Fraction(delta) / 2 ** j for j in (3, 2, 1, 0)):
+        if exactly_positive_definite(mirrored, shift):
+            break
+    else:
+        raise AssertionError("no shift up to _pd_shift's makes W exactly positive definite")
+    w_bar = max(Fraction(w), Fraction(0))
+    r = [Fraction(o) + w_bar * Fraction(c)
+         for o, c in zip(prob.objective.tolist(), prob.constraint.tolist())]
+    constant = Fraction(0)
+    for k, v in zip(prob.structure.entry_vars.ravel().tolist(), mirrored.ravel().tolist()):
+        if k < 0:
+            constant += Fraction(v)
+        else:
+            r[k] += Fraction(v)
+    return constant - Fraction(prob.s) * w_bar + sum(map(abs, r)) + d * shift
+
+
+def captured_bounds(monkeypatch, solve):
+    """Every (prob, w, W, U) that dual_upper_bound sees while `solve` runs."""
+    seen, bound = [], npa.dual_upper_bound
+
+    def capture(prob, w, w_mat):
+        seen.append((prob, w, w_mat, bound(prob, w, w_mat)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(npa, "dual_upper_bound", capture)
+    solve()
+    return seen
+
+
+def assert_bounds_hold_exactly(cases):
+    for prob, w, w_mat, upper in cases:
+        delta = npa._pd_shift(np.tril(w_mat) + np.tril(w_mat, -1).T)
+        assert Fraction(upper) >= exact_upper_bound(prob, w, w_mat, delta)
+
+
+def test_upper_bound_holds_in_exact_arithmetic_on_the_reference_rows(monkeypatch):
+    cases = captured_bounds(monkeypatch, lambda: [
+        sdp_solve(assemble(alpha, s, STRUCTURE)) for alpha, s, _, _ in REFERENCE_ROWS])
+    # the 16 main solves less the 3 infeasible rows, plus their I12 solves
+    assert len(cases) == 16
+    assert sum(prob.s == -1.0 for prob, *_ in cases) == 3
+    assert_bounds_hold_exactly(cases)
+
+
+def test_upper_bound_holds_in_exact_arithmetic_on_sweep_points(monkeypatch):
+    # the two points that stop as optimal_inaccurate, and six others
+    points = [(1.75, s) for s in sweep_thresholds(1.75) if round(s, 6) in (3.750208, 3.750624)]
+    points += [(alpha, sweep_thresholds(alpha)[i]) for alpha, i in
+               ((0.0, 0), (0.25, 20), (0.5, 45), (1.0, 70), (1.25, 39), (1.75, 5))]
+    cases = captured_bounds(monkeypatch, lambda: [
+        sdp_solve(assemble(alpha, s, STRUCTURE)) for alpha, s in points])
+    assert len(cases) == len(points) == 8
+    assert_bounds_hold_exactly(cases)
+
+
+def test_upper_bound_holds_in_exact_arithmetic_on_random_dual_pairs():
+    rng = np.random.default_rng(11)
+    d = STRUCTURE.n_words
+    half = rng.standard_normal((d, d))
+    matrices = [half @ half.T / d, half + half.T, 1e-6 * (half + half.T),
+                -np.eye(d), np.zeros((d, d))]
+    cases = []
+    for alpha, s in ((0.5, 2.711267), (1.0, 3.082475)):
+        prob = assemble(alpha, s, STRUCTURE)
+        for w_mat in matrices:
+            w = float(rng.standard_normal())
+            cases.append((prob, w, w_mat, npa.dual_upper_bound(prob, w, w_mat)))
+    assert_bounds_hold_exactly(cases)
+
+
+def test_pd_shift_is_verified_and_returns_promptly():
+    rng = np.random.default_rng(2)
+    d = STRUCTURE.n_words
+    half = rng.standard_normal((d, d))
+    nan_matrix, inf_matrix = np.eye(d), np.eye(d)
+    nan_matrix[3, 2], inf_matrix[5, 5] = np.nan, -np.inf
+    # an exactly singular Gram matrix of integers, on which a plain
+    # floating-point Cholesky completes (with the libraries of FROZEN_ITERATIONS)
+    gram = np.random.default_rng(1).integers(-3, 4, (d, d - 1)).astype(float)
+    singular = gram @ gram.T
+    assert not exactly_positive_definite(singular)
+    matrices = [np.eye(d), half @ half.T + np.eye(d), np.zeros((d, d)), -np.eye(d),
+                half + half.T, singular, nan_matrix, inf_matrix]
+    shifts = []
+    # a loop that cannot leave a shift of 0 would hang here, so each call
+    # runs in a thread with a deadline
+    worker = threading.Thread(target=lambda: shifts.extend(map(npa._pd_shift, matrices)),
+                              daemon=True)
+    worker.start()
+    worker.join(timeout=10.0)
+    assert not worker.is_alive() and len(shifts) == len(matrices)
+    assert shifts[:2] == [0.0, 0.0]
+    assert shifts[-2:] == [float("inf"), float("inf")]
+    for a, delta in zip(matrices[2:6], shifts[2:6]):
+        assert 0.0 < delta < float("inf")
+        assert exactly_positive_definite(a, Fraction(delta))
+    # -I needs a shift above 1, and the doubling overshoots by less than 2x
+    assert 1.0 < shifts[3] <= 2.0
 
 
 def test_scan_grid_layout_and_monotonicity():
