@@ -6,6 +6,12 @@ TV-distance, and the anti-collusion capacity via a merged dual LP. All
 problems live on 2-party authorized behaviors with at most 2 inputs and 2
 outputs per party; the colluder slot copies party 2's alphabets. Larger
 alphabets are rejected so every shipped solve stays exact and fast.
+
+A verification record solves the distance LP alone. The capacity LP is its
+dual up to a shift along the pin rows, so the record's capacity is a lower
+bound proven from the distance LP's duals (`_capacity_dual`), in the style
+of Neumaier & Shcherbina (Math. Program. 99 (2004) 283-296);
+`anticollusion_capacity` still solves the capacity LP itself.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
 from .behaviors import (
@@ -72,6 +77,13 @@ def _lp_minima(lps: list[_Lp], a_ub, a_eq) -> list[float]:
     (input checks, HiGHS set-up) once; for LPs this small it is about a
     third of each call.
     """
+    res = _solve(lps, a_ub, a_eq)
+    ends = np.cumsum([len(lp.c) for lp in lps])
+    return [float(lp.c @ x) for lp, x in zip(lps, np.split(res.x, ends[:-1]))]
+
+
+def _solve(lps: list[_Lp], a_ub, a_eq):
+    """scipy's result for the direct sum of `_lp_minima`, at an optimum."""
     res = linprog(
         np.concatenate([lp.c for lp in lps]),
         A_ub=a_ub,
@@ -85,8 +97,7 @@ def _lp_minima(lps: list[_Lp], a_ub, a_eq) -> list[float]:
         raise LpInfeasibleError("LP infeasible: " + res.message)
     if res.status != 0:  # unbounded (3) too: every LP here has a finite optimum
         raise LpNumericalError(f"LP solver failure (status {res.status}): " + res.message)
-    ends = np.cumsum([len(lp.c) for lp in lps])
-    return [float(lp.c @ x) for lp, x in zip(lps, np.split(res.x, ends[:-1]))]
+    return res
 
 
 def _nonnegative(n: int) -> np.ndarray:
@@ -107,12 +118,14 @@ class ExtensionProblem:
     The colluder's alphabets equal party 2's. The authorized behavior must be
     no-signalling; under the classical class it must additionally be local,
     checked at construction by the CHSH facets (`_require_local`).
-    Construction also builds the class's LP data once: ``a_eq x = b_eq``, the
-    (1,2)-marginal pin on the extension variables x (tripartite table cells,
-    or weights over deterministic tripartite tables) plus, on cells, parties
-    1 and 2's no-signalling (`_ns_extension_rows`); and ``pair13``, the map
-    from x to the relabelled (1,3) pair table, one row per pair cell
-    (t1, t3, x1, x3); the marginal averages over the dropped party-2 input.
+    The class's LP data: ``a_eq x = b_eq``, the (1,2)-marginal pin on the
+    extension variables x (tripartite table cells, or weights over
+    deterministic tripartite tables) plus, on cells, parties 1 and 2's
+    no-signalling (`_ns_extension_rows`); and ``pair13``, the map from x to
+    the relabelled (1,3) pair table, one row per pair cell (t1, t3, x1, x3);
+    the marginal averages over the dropped party-2 input. ``a_eq`` and
+    ``pair13`` do not depend on P12, so they are shared read-only arrays
+    (`_class_rows`); only ``b_eq`` is built per problem.
     """
 
     authorized: Behavior
@@ -131,25 +144,41 @@ class ExtensionProblem:
             raise ValueError(
                 f"authorized behavior signals (residual {report.max_residual:.3e})"
             )
-        i1, i2 = p12.inputs_per_party
-        o1, o2 = p12.outputs_per_party
-        shape = (i1, i2, i2, o1, o2, o2)
-        if self.extension_class == NO_SIGNALLING:
-            n_vars = int(np.prod(shape))
-            basis = np.eye(n_vars).reshape(shape + (n_vars,))
-            a_eq, b_eq = _ns_extension_rows(basis, p12)
-            pair13 = basis.sum(axis=(1, 4)) * (1.0 / i2)
-        else:
+        if self.extension_class == CLASSICAL:
             _require_local(p12)
-            tri = deterministic_behaviors(shape[:3], shape[3:])
-            # weights over the tripartite vertices whose (1,2) tables mix to P12;
-            # the rows of one input pair sum to the total weight, which is thus 1
-            a_eq = tri[:, :, :, 0].sum(-1).reshape(len(tri), -1).T
-            b_eq = p12.table.reshape(-1)
-            pair13 = np.moveaxis(tri[:, :, 0].sum(-2), 0, -1)
+        a_eq, pair13 = _class_rows(p12.inputs_per_party, p12.outputs_per_party,
+                                   self.extension_class)
+        # the pin's right-hand side is P12, once per colluder input on cells;
+        # the no-signalling rows after it are homogeneous
+        copies = p12.inputs_per_party[1] if self.extension_class == NO_SIGNALLING else 1
+        pin = np.tile(p12.table.reshape(-1), copies)
         object.__setattr__(self, "a_eq", a_eq)
-        object.__setattr__(self, "b_eq", b_eq)
-        object.__setattr__(self, "pair13", pair13.reshape((p12.table.size, -1)))
+        object.__setattr__(self, "b_eq", np.pad(pin, (0, len(a_eq) - len(pin))))
+        object.__setattr__(self, "pair13", pair13)
+
+
+@cache
+def _class_rows(inputs: tuple[int, ...], outputs: tuple[int, ...],
+                extension_class: ExtensionClass) -> tuple[np.ndarray, np.ndarray]:
+    """``a_eq`` and ``pair13`` of `ExtensionProblem`, read-only: they depend
+    only on the alphabets and the class."""
+    (i1, i2), (o1, o2) = inputs, outputs
+    shape = (i1, i2, i2, o1, o2, o2)
+    if extension_class == NO_SIGNALLING:
+        n_vars = int(np.prod(shape))
+        basis = np.eye(n_vars).reshape(shape + (n_vars,))
+        a_eq = _ns_extension_rows(basis)
+        pair13 = basis.sum(axis=(1, 4)) * (1.0 / i2)
+    else:
+        tri = deterministic_behaviors(shape[:3], shape[3:])
+        # weights over the tripartite vertices whose (1,2) tables mix to P12;
+        # the rows of one input pair sum to the total weight, which is thus 1
+        a_eq = tri[:, :, :, 0].sum(-1).reshape(len(tri), -1).T
+        pair13 = np.moveaxis(tri[:, :, 0].sum(-2), 0, -1)
+    pair13 = pair13.reshape((i1 * i2 * o1 * o2, -1))
+    for m in (a_eq, pair13):
+        m.flags.writeable = False
+    return a_eq, pair13
 
 
 def _require_local(p12: Behavior) -> None:
@@ -173,8 +202,8 @@ def _require_local(p12: Behavior) -> None:
         )
 
 
-def _ns_extension_rows(basis: np.ndarray, p12: Behavior) -> tuple[np.ndarray, np.ndarray]:
-    """Equality block for the no-signalling extension polytope.
+def _ns_extension_rows(basis: np.ndarray) -> np.ndarray:
+    """Equality rows of the no-signalling extension polytope.
 
     ``basis`` holds the unit vector of every extension cell, indexed
     (t1, t2, t3, x1, x2, x3, var). Rows: the (1,2)-marginal pin
@@ -184,16 +213,15 @@ def _ns_extension_rows(basis: np.ndarray, p12: Behavior) -> tuple[np.ndarray, np
     x3 < o3 - 1. The rest follow: normalization is a sum of pin rows; the pin
     fixes the (1,2) marginal for every t3, so party 3 cannot signal; and
     party k's row at x3 = o3 - 1 is the pin's sum over x_k and x3, differenced
-    over t_k, minus the kept rows, which holds as P12 is no-signalling.
+    over t_k, minus the kept rows, which holds as P12 is no-signalling. The
+    pin's right-hand side is P12; the other rows are homogeneous.
     """
     n_vars = basis.shape[-1]
     blocks = [np.moveaxis(basis.sum(axis=5), 2, 0)]
     for k in range(2):
         summed = np.moveaxis(basis.sum(axis=3 + k), k, 0)[..., :-1, :]  # no x_k, x3 < o3 - 1
         blocks.append(summed[1:] - summed[0])
-    rows = np.concatenate([block.reshape(-1, n_vars) for block in blocks])
-    rhs = np.tile(p12.table.reshape(-1), basis.shape[2])
-    return rows, np.pad(rhs, (0, len(rows) - len(rhs)))
+    return np.concatenate([block.reshape(-1, n_vars) for block in blocks])
 
 
 def collusive_vulnerability(prob: ExtensionProblem, kernel: GameKernel) -> float:
@@ -323,12 +351,14 @@ def verification_record(p12: Behavior, extension_class: ExtensionClass) -> dict:
 def verification_records(p12s: list[Behavior], extension_class: ExtensionClass) -> list[dict]:
     """Capacity-equals-distance records, `RECORDS_PER_CALL` per HiGHS call.
 
-    A record solves its capacity and distance LPs together; they share no
-    row or column, so each keeps its own optimum and the two formulations
-    stay independent. A chunk of k records is the sparse sum kron(I_k, M)
-    of `_record_matrices`, and only c, b and the bounds are gathered per
-    record. The problems of one chunk are built at a time. All behaviors
-    share one set of alphabets.
+    A record solves the distance LP only. Its ``distance`` is that LP's
+    optimum (`_distance`), and its ``capacity`` is `_proven_capacity`, a
+    lower bound on the capacity proven from the same LP's duals, so the two
+    agree up to rounding exactly when the solver's optimum is right. A chunk
+    of k records is the sparse sum kron(I_k, M) of `_record_matrices`, and
+    only c, b and the bounds are gathered per record; the solution and the
+    duals are split back per record. The problems of one chunk are built at
+    a time. All behaviors share one set of alphabets.
     """
     shapes = {(p.inputs_per_party, p.outputs_per_party) for p in p12s}
     if len(shapes) > 1:
@@ -338,11 +368,14 @@ def verification_records(p12s: list[Behavior], extension_class: ExtensionClass) 
         chunk = p12s[start:start + RECORDS_PER_CALL]
         probs = [ExtensionProblem(authorized=p12, extension_class=extension_class)
                  for p12 in chunk]
-        lps = [lp for prob in probs for lp in (_capacity_lp(prob), _distance_lp(prob))]
-        minima = _lp_minima(lps, *_record_matrices(
-            chunk[0].inputs_per_party, chunk[0].outputs_per_party, extension_class, len(chunk)))
-        for prob, minus_capacity, distance in zip(probs, minima[::2], minima[1::2]):
-            capacity = max(0.0, -minus_capacity)
+        lps, k = [_distance_lp(prob) for prob in probs], len(chunk)
+        res = _solve(lps, *_record_matrices(
+            chunk[0].inputs_per_party, chunk[0].outputs_per_party, extension_class, k))
+        for prob, lp, x, ub_duals, eq_duals in zip(
+                probs, lps, np.split(res.x, k), np.split(res.ineqlin.marginals, k),
+                np.split(res.eqlin.marginals, k)):
+            capacity = _proven_capacity(prob, *_capacity_dual(prob, ub_duals, eq_duals))
+            distance = _distance(lp, x, ub_duals, eq_duals)
             records.append({
                 "behavior": behavior_to_json(prob.authorized),
                 "class": prob.extension_class,
@@ -353,20 +386,92 @@ def verification_records(p12s: list[Behavior], extension_class: ExtensionClass) 
     return records
 
 
+def _rounding_margin(k: int, magnitude):
+    """Bound on the rounding error of a float sum whose terms pass through at
+    most k roundings each, of absolute values summing to ``magnitude``: k eps
+    times that, doubled to cover the rounding of the bound itself, plus k tiny
+    for underflow."""
+    finfo = np.finfo(float)
+    return 2.0 * k * finfo.eps * magnitude + k * finfo.tiny
+
+
+def _distance(lp: _Lp, x: np.ndarray, ub_duals: np.ndarray, eq_duals: np.ndarray) -> float:
+    """The distance LP's optimum: its dual value b.y where the primal value
+    c.x agrees with it to within rounding, else c.x, so that a gap shows.
+
+    Both are the optimum in exact arithmetic, but the optimal extension is
+    seldom unique, and the vertex HiGHS reaches, and how it rounds, depends
+    on the other records of the sum. The dual polytope does not depend on
+    P12 and its vertices are dyadic, so HiGHS computes y exactly and b.y is
+    the same however the records are chunked.
+    """
+    primal = float(lp.c @ x)
+    dual = float(lp.b_ub @ ub_duals + lp.b_eq @ eq_duals) + 0.0  # no -0.0
+    magnitude = (lp.c @ np.abs(x) + np.abs(lp.b_ub) @ np.abs(ub_duals)
+                 + np.abs(lp.b_eq) @ np.abs(eq_duals))
+    k = len(x) + len(ub_duals) + len(eq_duals) + 2
+    return dual if abs(primal - dual) <= _rounding_margin(k, magnitude) else primal
+
+
+def _capacity_dual(prob: ExtensionProblem, ub_duals: np.ndarray,
+                   eq_duals: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(h, nu, t) such that (h, nu + t nu0) is exactly a point of
+    `anticollusion_capacity`'s LP, read off the distance LP's duals.
+
+    scipy gives the duals of `_distance_lp` as sensitivities, at most 0 on
+    its blocks u >= P12 - Q and u >= Q - P12. With lambda = -ub_duals and
+    nu = -eq_duals, dual feasibility reads lambda1 + lambda2 <= pi/2 and
+    A'nu >= pair13'(lambda1 - lambda2) = pi pair13'h - pi/2 pair13'1 for the
+    [0,1]-kernel h = (lambda1 - lambda2)/pi + 1/2, where pi = 1/(i1 i2). So
+    A'nu falls short of the capacity LP's A'nu >= pi pair13'h by a constant
+    that nu0 makes up: the indicator of the leading rows of a_eq, which hold
+    each extension variable once (the whole pin on cells, input pair (0, 0)'s
+    pin rows on vertex weights), so A'nu0 = 1. t is the largest shortfall,
+    plus `_rounding_margin` (k = n_cells + n_eq + 2), of the h clipped to
+    [0, 1]: feasible whatever floats the solver returned, unless non-finite,
+    which raises LpNumericalError.
+    """
+    i1, i2 = prob.authorized.inputs_per_party
+    pi_cell = 1.0 / (i1 * i2)
+    lambda1, lambda2 = np.split(-ub_duals, 2)
+    h = np.clip((lambda1 - lambda2) / pi_cell + 0.5, 0.0, 1.0)
+    nu = -eq_duals
+    if not (np.isfinite(h).all() and np.isfinite(nu).all()):
+        raise LpNumericalError("LP solver returned non-finite duals")
+    test = (pi_cell * prob.pair13).T @ h  # pi pair13 is dyadic, so exact
+    margin = _rounding_margin(len(h) + len(nu) + 2, test + np.abs(prob.a_eq).T @ np.abs(nu))
+    return h, nu, float((test - prob.a_eq.T @ nu + margin).max())
+
+
+def _proven_capacity(prob: ExtensionProblem, h: np.ndarray, nu: np.ndarray, t: float) -> float:
+    """L_c = pi h.P12 - b.(nu + t nu0) at the point of `_capacity_dual`,
+    less `_rounding_margin` (k = n_cells + n_eq + n0 + 4): a lower bound on
+    the capacity, a maximum over that LP. It is clipped at 0, the value of
+    h = 0 with nu = 0. At the distance LP's optimum it meets the distance.
+    """
+    i1, i2 = prob.authorized.inputs_per_party
+    o1, o2 = prob.authorized.outputs_per_party
+    p12, b = prob.authorized.table.reshape(-1), prob.b_eq
+    n0 = i2 * p12.size if prob.extension_class == NO_SIGNALLING else o1 * o2
+    pi_cell = 1.0 / (i1 * i2)
+    value = pi_cell * (h @ p12) - b @ nu - t * b[:n0].sum()
+    magnitude = (pi_cell * (h @ np.abs(p12)) + np.abs(b) @ np.abs(nu)
+                 + abs(t) * np.abs(b[:n0]).sum())
+    return max(0.0, float(value - _rounding_margin(len(h) + len(nu) + n0 + 4, magnitude)))
+
+
 @cache
 def _record_matrices(inputs: tuple[int, ...], outputs: tuple[int, ...],
                      extension_class: ExtensionClass, k: int) -> tuple[sparse.csc_array, ...]:
     """kron(I_k, M) for the inequality and the equality rows, in CSC form
-    and read-only: M is one record's capacity-plus-distance matrix, stored
-    without explicit zeros. It depends only on the alphabets and the class,
-    so it is read off the uniform behavior, which is local."""
+    and read-only: M is one record's distance-LP matrix, stored without
+    explicit zeros. It depends only on the alphabets and the class, so it is
+    read off the uniform behavior, which is local."""
     uniform = np.full(inputs + outputs, 1.0 / np.prod(outputs))
-    prob = ExtensionProblem(authorized=Behavior(2, inputs, outputs, uniform),
-                            extension_class=extension_class)
-    cap, dist = _capacity_lp(prob), _distance_lp(prob)
+    lp = _distance_lp(ExtensionProblem(authorized=Behavior(2, inputs, outputs, uniform),
+                                       extension_class=extension_class))
     eye = sparse.identity(k, format="csc")
-    sums = tuple(sparse.kron(eye, sparse.csc_array(block_diag(m_cap, m_dist)), format="csc")
-                 for m_cap, m_dist in ((cap.a_ub, dist.a_ub), (cap.a_eq, dist.a_eq)))
+    sums = tuple(sparse.kron(eye, sparse.csc_array(m), format="csc") for m in (lp.a_ub, lp.a_eq))
     for m in sums:
         for part in (m.data, m.indices, m.indptr):
             part.flags.writeable = False

@@ -294,13 +294,20 @@ def _pd_shift(a: np.ndarray) -> float:
     symmetric n x n B proves lambda_min(B) >= -gamma_{n+1} / (1 - gamma_{n+1})
     tr(B), up to underflow. So delta passes when b = a + delta I has a positive
     diagonal and potrf completes on b's lower triangle less c I, with c over
-    |b_ii| exceeding that bound plus the roundings of tr(b), c, b and b - c I."""
-    n, eps, tiny = a.shape[0], np.finfo(float).eps, np.finfo(float).tiny
+    |b_ii| exceeding that bound plus the roundings of tr(b), c, b and b - c I.
+    The scale is checked first: delta stays at most limit = max / (8n), so
+    every sum here is finite, and a shift above n max|a_ij| is never needed
+    (Gershgorin, up to c), which the doubling can overshoot by 2x; so a larger
+    max|a_ij| than limit / (2n), NaN or inf gives inf without trying."""
+    n, finfo = a.shape[0], np.finfo(float)
+    eps, tiny, limit = finfo.eps, finfo.tiny, finfo.max / (8 * n)
+    if not np.abs(a).max() <= limit / (2 * n):
+        return float("inf")
     delta = 0.0
-    while np.isfinite(a).all() and isfinite(delta):
+    while delta <= limit:
         diag = np.diag(a) + delta
-        c = ((n + 2) * eps / (1 - (n + 2) * eps) * np.abs(diag).sum()
-             + 4 * n * (2 * n + 2 + np.abs(diag).max()) * tiny)
+        c = float((n + 2) * eps / (1 - (n + 2) * eps) * np.abs(diag).sum()
+                  + 4 * n * (2 * n + 2 + np.abs(diag).max()) * tiny)
         b = a.copy()
         np.fill_diagonal(b, diag - c)
         if (diag > 0.0).all() and lapack.dpotrf(b, lower=1)[1] == 0:
@@ -595,11 +602,6 @@ def alpha0_report(rows: list[ScanRow]) -> SanityReport:
         max_dev=max(devs) if devs else float("nan"),
         certified_mask=tuple(row.solution.certified for row in untilted),
     )
-
-
-def alpha0_sanity(grid_points: int = 60, *, max_iters: int = DEFAULT_MAX_ITERS) -> SanityReport:
-    """Deviation of certified untilted bounds from sqrt(8 - s^2)."""
-    return alpha0_report(scan([0.0], grid_points, max_iters=max_iters))
 
 
 CSV_HEADER = "alpha,s,primal,dual,gap,max_residual,min_eig,status,certified"

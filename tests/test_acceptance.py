@@ -167,7 +167,7 @@ def test_criterion_07_capacity_equals_distance():
 
 def test_criterion_08_alpha0_sanity_grid():
     t0 = time.perf_counter()
-    rep = npa.alpha0_sanity(grid_points=60)
+    rep = npa.alpha0_report(npa.scan([0.0], 60))
     interior = rep.certified_mask[:-1]
     assert all(interior), "only the quantum-boundary endpoint may fail to certify"
     assert rep.max_dev <= 1e-3

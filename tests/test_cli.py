@@ -473,6 +473,44 @@ def test_verify_distance_fails_on_a_later_chunk_exits_4(monkeypatch, tmp_path, c
     assert not out.exists()
 
 
+def test_verify_distance_corrupted_duals_exit_3_or_4(monkeypatch, tmp_path, capsys):
+    # the capacity is proven from the distance LP's equality duals, so wrong
+    # ones give a weaker capacity and a discrepancy on nonlocal behaviors,
+    # and non-finite ones a solver error
+    def noisy_box(rng):
+        v = rng.uniform(0.75, 1.0)
+        return behaviors.Behavior(2, (2, 2), (2, 2),
+                                  v * behaviors.pr_box().table + (1.0 - v) / 4.0)
+
+    real_linprog = extlp.linprog
+    corruption = [None]
+
+    def corrupted(*args, **kwargs):
+        res = real_linprog(*args, **kwargs)
+        if corruption[0] is not None:
+            res.eqlin.marginals = corruption[0](res.eqlin.marginals)
+        return res
+
+    monkeypatch.setattr(extlp, "random_ns_behavior", noisy_box)
+    monkeypatch.setattr(extlp, "linprog", corrupted)
+    argv = ["verify-distance", "--instances", "6", "--seed", "4"]
+    code, out = run_to_file(tmp_path, "sound.jsonl", argv)
+    assert code == EXIT_OK
+    for line in out.read_text().strip().split("\n")[:-1]:
+        rec = json.loads(line)
+        assert rec["capacity"] > 0.25 and rec["discrepancy"] < 1e-12
+    corruption[0] = lambda duals: 1.1 * duals
+    code, out = run_to_file(tmp_path, "scaled.jsonl", argv)
+    assert code == EXIT_VERIFY
+    assert "verification FAILED" in capsys.readouterr().err
+    assert json.loads(out.read_text().strip().split("\n")[-1])["max_discrepancy"] > 1e-3
+    corruption[0] = lambda duals: np.full_like(duals, np.nan)
+    assert main(argv) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "solver error: LP solver returned non-finite duals\n"
+
+
 def test_verify_distance_inexact_witness_exits_3(monkeypatch, tmp_path, capsys):
     # random_lhv_model keeps every probability dyadic so that C13 = A12 holds
     # bit for bit; generic floats make the two scores round apart

@@ -1,6 +1,7 @@
 """Extension polytope LPs: vulnerability, shadow distance, capacity equality."""
 
 import json
+from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
 
@@ -24,6 +25,7 @@ from nonshare.behaviors import (
 from nonshare.extlp import (
     CLASSICAL,
     NO_SIGNALLING,
+    RECORDS_PER_CALL,
     ExtensionProblem,
     LpInfeasibleError,
     LpNumericalError,
@@ -36,9 +38,13 @@ from nonshare.extlp import (
     verification_record,
     verification_records,
     _Lp,
+    _capacity_dual,
     _capacity_lp,
+    _class_rows,
+    _distance,
     _distance_lp,
     _lp_minima,
+    _proven_capacity,
     _record_matrices,
 )
 from nonshare.qkernel import bell_strategy, born_behavior
@@ -493,3 +499,138 @@ def test_reference_rows_give_the_same_optima():
         kernel = chsh_kernel()
         assert collusive_vulnerability(prob, kernel) == pytest.approx(
             collusive_vulnerability(ref, kernel), abs=1e-12)
+
+
+def test_class_rows_are_shared_and_read_only():
+    _class_rows.cache_clear()
+    for cls in (NO_SIGNALLING, CLASSICAL):
+        first, second = (ExtensionProblem(authorized=p12, extension_class=cls)
+                         for p12 in lhv_pairs(2))
+        for name in ("a_eq", "pair13"):
+            shared = getattr(first, name)
+            assert getattr(second, name) is shared
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0, 0] = 1.0
+        # the pin's right-hand side is each problem's own P12
+        copies = 2 if cls == NO_SIGNALLING else 1
+        for prob in (first, second):
+            pin = np.tile(prob.authorized.table.reshape(-1), copies)
+            assert np.array_equal(prob.b_eq[:len(pin)], pin)
+            assert not prob.b_eq[len(pin):].any()
+    assert _class_rows.cache_info().misses == 2
+
+
+def nonlocal_draws(n: int, seed: int) -> list[Behavior]:
+    """v (a random PR-box orientation) + (1 - v) (a random local mixture) with
+    v in [3/4, 1): the box's CHSH form is at least 6v - 2 > 2, so every draw
+    is nonlocal."""
+    rng = np.random.default_rng(seed)
+    verts = deterministic_behaviors((2, 2), (2, 2))
+    draws = []
+    for _ in range(n):
+        v = rng.uniform(0.75, 1.0)
+        box = pr_box(*rng.integers(0, 2, size=3)).table
+        local = np.tensordot(rng.dirichlet(np.ones(len(verts))), verts, axes=1)
+        draws.append(Behavior(2, (2, 2), (2, 2), v * box + (1.0 - v) * local))
+    return draws
+
+
+def solve_with_duals(monkeypatch, p12s: list[Behavior], cls) -> list[tuple]:
+    """The records of `verification_records`, each with its problem and the
+    duals of its block, split from the HiGHS results the call made."""
+    results = []
+
+    def kept(*args, **kwargs):
+        results.append(linprog(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(extlp, "linprog", kept)
+    records = verification_records(p12s, cls)
+    monkeypatch.undo()
+    duals = []
+    for res, start in zip(results, range(0, len(p12s), RECORDS_PER_CALL)):
+        k = len(p12s[start:start + RECORDS_PER_CALL])
+        duals += zip(np.split(res.ineqlin.marginals, k), np.split(res.eqlin.marginals, k))
+    probs = [ExtensionProblem(authorized=p12, extension_class=cls) for p12 in p12s]
+    return list(zip(records, probs, duals))
+
+
+def exact_capacity_value(prob: ExtensionProblem, h, nu, t: float) -> Fraction:
+    """pi h.P12 - b.(nu + t nu0) in exact arithmetic, after checking that
+    (h, nu + t nu0) is a point of the capacity LP: 0 <= h <= 1 and
+    A'(nu + t nu0) >= pi pair13'h, column by column."""
+    (i1, i2), table = prob.authorized.inputs_per_party, prob.authorized.table
+    pi = Fraction(1, i1 * i2)
+    a = prob.a_eq.astype(int)
+    assert np.array_equal(a, prob.a_eq)
+    # nu0: the whole pin on cells, the input pair (0, 0)'s pin rows on weights
+    n0 = i2 * table.size if prob.extension_class == NO_SIGNALLING else table[0, 0].size
+    assert (a[:n0].sum(axis=0) == 1).all()
+    h_exact = [Fraction(v) for v in h]
+    assert all(0 <= v <= 1 for v in h_exact)
+    nu_exact = [Fraction(v) + (Fraction(t) if r < n0 else 0) for r, v in enumerate(nu)]
+    for j in range(a.shape[1]):
+        dual_side = sum(a[r, j] * nu_exact[r] for r in np.flatnonzero(a[:, j]))
+        test_side = pi * sum(Fraction(prob.pair13[c, j]) * h_exact[c]
+                             for c in np.flatnonzero(prob.pair13[:, j]))
+        assert dual_side >= test_side, j
+    return (pi * sum(hc * Fraction(p) for hc, p in zip(h_exact, table.reshape(-1)))
+            - sum(Fraction(b) * n for b, n in zip(prob.b_eq, nu_exact)))
+
+
+def test_proven_capacity_against_exact_arithmetic(monkeypatch):
+    # 12 nonlocal draws, the Bell behavior and the PR box under the
+    # no-signalling class; local pairs under both classes
+    nonlocal_ = nonlocal_draws(12, 2026) + [born_behavior(bell_strategy()), pr_box()]
+    cases = (solve_with_duals(monkeypatch, nonlocal_, NO_SIGNALLING)
+             + solve_with_duals(monkeypatch, lhv_pairs(4), NO_SIGNALLING)
+             + solve_with_duals(monkeypatch, lhv_pairs(6), CLASSICAL))
+    assert len(cases) >= 20
+    for k, (record, prob, (ub_duals, eq_duals)) in enumerate(cases):
+        h, nu, t = _capacity_dual(prob, ub_duals, eq_duals)
+        assert record["capacity"] == _proven_capacity(prob, h, nu, t)
+        exact = exact_capacity_value(prob, h, nu, t)
+        assert record["capacity"] == 0.0 or Fraction(record["capacity"]) <= exact, k
+        # proven from the duals alone, yet as tight as the distance allows
+        assert 0.0 <= record["distance"] - record["capacity"] <= 1e-12, (k, record)
+        if k < len(nonlocal_):
+            assert record["capacity"] > 0.0
+
+
+def test_corrupted_duals_give_a_smaller_capacity_or_an_error(monkeypatch):
+    # any multipliers are repaired into a valid but weaker bound; NaN is a
+    # solver failure, never a number
+    [(record, prob, (ub_duals, eq_duals))] = solve_with_duals(
+        monkeypatch, [noisy_pr_box(0.9)], NO_SIGNALLING)
+    assert record["capacity"] == pytest.approx(0.4, abs=1e-12)
+    rng = np.random.default_rng(0)
+    for scale in (1e-1, 1e-6, 1e-12):
+        for _ in range(4):
+            noisy = eq_duals + rng.normal(scale=scale, size=eq_duals.shape)
+            h, nu, t = _capacity_dual(prob, ub_duals, noisy)
+            lower = _proven_capacity(prob, h, nu, t)
+            exact = exact_capacity_value(prob, h, nu, t)  # checks feasibility too
+            assert lower == 0.0 or Fraction(lower) <= exact
+            if scale == 1e-1:
+                assert lower < record["capacity"] - 1e-3
+    with pytest.raises(LpNumericalError, match="non-finite duals"):
+        _capacity_dual(prob, ub_duals, np.full_like(eq_duals, np.nan))
+
+
+def test_distance_is_the_dual_value_where_the_primal_confirms_it(monkeypatch):
+    # the duals are dyadic and the same for any chunking, so nonlocal records
+    # keep their bits in a chunk of five; a primal value that moved off the
+    # dual value beyond rounding is reported as it is
+    draws = nonlocal_draws(15, 7)
+    singles = [verification_record(p12, NO_SIGNALLING) for p12 in draws]
+    assert corpus_to_jsonl(verification_records(draws, NO_SIGNALLING)) == corpus_to_jsonl(singles)
+    [(record, prob, (ub_duals, eq_duals))] = solve_with_duals(monkeypatch, draws[:1],
+                                                              NO_SIGNALLING)
+    lp = _distance_lp(prob)
+    dual = float(lp.b_ub @ ub_duals + lp.b_eq @ eq_duals)
+    assert all(Fraction(v).denominator <= 16 for v in np.concatenate([ub_duals, eq_duals]))
+    assert record["distance"] == dual
+    x = np.zeros(len(lp.c))  # only c.x is read
+    x[-1] = (dual + 1e-9) / lp.c[-1]
+    assert _distance(lp, x, ub_duals, eq_duals) == pytest.approx(dual + 1e-9, abs=1e-15)

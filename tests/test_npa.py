@@ -17,7 +17,6 @@ from nonshare.npa import (
     MomentSolution,
     ScanRow,
     alpha0_report,
-    alpha0_sanity,
     assemble,
     build_structure,
     build_word_set,
@@ -625,6 +624,22 @@ def test_pd_shift_is_verified_and_returns_promptly():
     assert 1.0 < shifts[3] <= 2.0
 
 
+def test_pd_shift_checks_the_scale_before_it_sums():
+    # entries near the largest double would overflow the trace and the
+    # doubled shift; the scale check returns inf first, without a warning
+    d = STRUCTURE.n_words
+    too_large = [np.full((d, d), 1e308), np.full((d, d), -1e308),
+                 np.diag([1.0] * (d - 1) + [1e306]),
+                 np.full((d, d), np.inf), np.full((d, d), -np.inf), np.full((d, d), np.nan)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [npa._pd_shift(a) for a in too_large] == [float("inf")] * len(too_large)
+        # below the scale bound the doubling still finds a shift
+        assert npa._pd_shift(1e300 * np.eye(d)) == 0.0
+        assert 1e300 < npa._pd_shift(-1e300 * np.eye(d)) <= 2e300
+        assert 0.0 < npa._pd_shift(np.full((d, d), 1e300)) < float("inf")
+
+
 def test_scan_grid_layout_and_monotonicity():
     rows = scan([1.5], grid_points=4, max_iters=20000)
     assert len(rows) == 4
@@ -644,7 +659,7 @@ def test_scan_grid_layout_and_monotonicity():
 
 
 def test_alpha0_sanity_small_grid():
-    report = alpha0_sanity(grid_points=4, max_iters=20000)
+    report = alpha0_report(scan([0.0], grid_points=4, max_iters=20000))
     assert len(report.certified_mask) == 4
     assert report.max_dev < 1e-6
 
