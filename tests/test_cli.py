@@ -432,6 +432,46 @@ def test_verify_distance_solver_failure_exits_4(monkeypatch, capsys, status):
     assert captured.err == f"solver error: LP solver failure (status {status}): stub\n"
 
 
+def shifted_highs(name: str, shift: float) -> type:
+    """HiGHS whose solution has the field ``name`` (``col_value`` or
+    ``row_value``) moved by ``shift``."""
+    real = extlp.highs._Highs
+
+    class Shifted:
+        def __init__(self):
+            self._highs = real()
+
+        def __getattr__(self, attr):
+            return getattr(self._highs, attr)
+
+        def getSolution(self):
+            solution = self._highs.getSolution()
+            setattr(solution, name, [v + shift for v in getattr(solution, name)])
+            return solution
+
+    return Shifted
+
+
+@pytest.mark.parametrize("name, shift", [("col_value", -1e-3), ("row_value", 1e-3)])
+def test_verify_distance_solution_off_its_constraints_exits_4(monkeypatch, capsys, name, shift):
+    # extlp.linprog checks HiGHS's optimum as scipy's linprog does: x below
+    # its bounds, or rows off their right-hand sides, by more than 10
+    # sqrt(1e-9) is status 4, a solver error
+    monkeypatch.setattr(extlp.highs, "_Highs", shifted_highs(name, shift))
+    p12 = extlp.random_ns_behavior(np.random.default_rng(0))
+    lp = extlp._distance_lp(extlp.ExtensionProblem(authorized=p12,
+                                                   extension_class=extlp.NO_SIGNALLING))
+    res = extlp.linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+                        bounds=lp.bounds)
+    assert res.status == 4 and "required tolerance of 3.16E-04" in res.message
+    with pytest.raises(extlp.LpNumericalError, match="status 4"):
+        extlp.verification_record(p12, extlp.NO_SIGNALLING)
+    assert main(["verify-distance", "--instances", "2"]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("solver error: LP solver failure (status 4): The solution")
+
+
 def test_verify_distance_matches_single_records(tmp_path):
     # the CLI solves its records in chunks; its bytes are those of the
     # one-record path on the same draws, then the summary

@@ -12,6 +12,7 @@ from scipy.optimize import linprog
 from nonshare import extlp
 from nonshare.behaviors import (
     Behavior,
+    GameKernel,
     check_no_signalling,
     chsh_kernel,
     copied_seed_extension,
@@ -284,10 +285,11 @@ def test_verification_record_and_jsonl():
 
 def test_one_highs_call_per_record_and_none_for_locality(monkeypatch):
     calls = []
+    driver = extlp.linprog
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return linprog(*args, **kwargs)
+        return driver(*args, **kwargs)
 
     monkeypatch.setattr(extlp, "linprog", counted)
     lhv = lhv_behavior(random_lhv_model(np.random.default_rng(4)))
@@ -314,10 +316,11 @@ def test_chunked_records_equal_single_records(monkeypatch, n):
             noisy_pr_box(1.0), *lhv[1:]]
     singles = [verification_record(p12, NO_SIGNALLING) for p12 in pool[:n]]
     calls = []
+    driver = extlp.linprog
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return linprog(*args, **kwargs)
+        return driver(*args, **kwargs)
 
     monkeypatch.setattr(extlp, "linprog", counted)
     records = verification_records(pool[:n], NO_SIGNALLING)
@@ -540,9 +543,10 @@ def solve_with_duals(monkeypatch, p12s: list[Behavior], cls) -> list[tuple]:
     """The records of `verification_records`, each with its problem and the
     duals of its block, split from the HiGHS results the call made."""
     results = []
+    driver = extlp.linprog
 
     def kept(*args, **kwargs):
-        results.append(linprog(*args, **kwargs))
+        results.append(driver(*args, **kwargs))
         return results[-1]
 
     monkeypatch.setattr(extlp, "linprog", kept)
@@ -634,3 +638,76 @@ def test_distance_is_the_dual_value_where_the_primal_confirms_it(monkeypatch):
     x = np.zeros(len(lp.c))  # only c.x is read
     x[-1] = (dual + 1e-9) / lp.c[-1]
     assert _distance(lp, x, ub_duals, eq_duals) == pytest.approx(dual + 1e-9, abs=1e-15)
+
+
+def module_lps(monkeypatch) -> list[tuple[tuple, dict]]:
+    """The arguments of every `extlp.linprog` call this module makes on a
+    small corpus: chunk sums of k = 1, ..., 5 records in both classes (three
+    of each), capacity, vulnerability and distance LPs, and the infeasible
+    and unbounded one-variable toys."""
+    calls = []
+    driver = extlp.linprog
+
+    def kept(*args, **kwargs):
+        calls.append((args, kwargs))
+        return driver(*args, **kwargs)
+
+    monkeypatch.setattr(extlp, "linprog", kept)
+    rng = np.random.default_rng(27)
+    pools = {CLASSICAL: lhv_pairs(15),
+             NO_SIGNALLING: [random_ns_behavior(rng) for _ in range(10)] + nonlocal_draws(5, 27)}
+    for cls, pool in pools.items():
+        for k in range(1, 6):
+            for start in range(3):
+                verification_records(pool[start * 5:start * 5 + k], cls)
+    probs = [ExtensionProblem(authorized=p12, extension_class=cls)
+             for cls, pool in pools.items() for p12 in pool[::3]]
+    kernel = GameKernel(rng.uniform(0.0, 1.0, (2, 2, 2, 2)))
+    for prob in probs:
+        anticollusion_capacity(prob)
+        collusive_vulnerability(prob, kernel)
+        shadow_tv_distance(prob)
+    for c, a_ub, b_ub in ((1.0, [[1.0]], [-1.0]), (-1.0, None, None)):
+        with pytest.raises((LpInfeasibleError, LpNumericalError)):
+            minimum(one_variable_lp(c, a_ub, b_ub))
+    monkeypatch.undo()
+    return calls
+
+
+def float_bits(v) -> bytes | None:
+    return None if v is None else np.asarray(v, dtype=float).tobytes()
+
+
+def test_driver_matches_scipy_linprog_bit_for_bit(monkeypatch):
+    # extlp.linprog hands HiGHS the model and options of scipy's linprog
+    # itself, so the two agree to the bit on every LP of this module
+    calls = module_lps(monkeypatch)
+    assert len(calls) == 62
+    statuses = []
+    for args, kwargs in calls:
+        ours = extlp.linprog(*args, **kwargs)
+        theirs = linprog(*args, **kwargs, method="highs")
+        statuses.append(ours.status)
+        assert (ours.status, ours.nit, ours.message) == (theirs.status, theirs.nit, theirs.message)
+        for name in ("x", "fun", "ineqlin", "eqlin"):
+            a, b = getattr(ours, name), getattr(theirs, name)
+            if name.endswith("lin"):
+                a, b = a.marginals, b.marginals
+            assert float_bits(a) == float_bits(b), name
+    assert statuses.count(0) == 60 and sorted(statuses[-2:]) == [2, 3]
+
+
+def test_driver_rejects_non_finite_data():
+    lp = one_variable_lp(1.0, [[1.0]], [1.0])
+    args = dict(c=lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=lp.bounds)
+    assert extlp.linprog(**args).status == 0
+    for name, bad in (("c", [np.nan]), ("b_ub", [np.inf]), ("A_ub", [[-np.inf]]),
+                      ("b_eq", [np.nan]), ("bounds", [[np.nan, 1.0]])):
+        changed = {**args, name: np.array(bad)}
+        if name == "b_eq":
+            changed["A_eq"] = np.ones((1, 1))
+        with pytest.raises(ValueError, match="finite"):
+            extlp.linprog(**changed)
+        if name != "bounds":  # scipy reads a NaN bound as no bound
+            with pytest.raises(ValueError):
+                linprog(**changed, method="highs")
