@@ -105,6 +105,37 @@ def _highs_options() -> highs.HighsOptions:
     return options
 
 
+_NOT_FINITE = "LP data must be finite and its bounds not NaN"
+_COLWISE, _MINIMIZE = int(highs.MatrixFormat.kColwise), int(highs.ObjSense.kMinimize)
+
+
+def _colwise(a_ub, a_eq) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """csc(vstack(a_ub, a_eq)), dense or sparse, as HiGHS takes it: int32
+    column starts, the last of which is the count of nonzeros, int32 row
+    indices and the values, which must be finite (else ValueError)."""
+    if sparse.issparse(a_ub) or sparse.issparse(a_eq):
+        a = sparse.csc_array(sparse.vstack((a_ub, a_eq)))
+    else:
+        a = sparse.csc_array(np.vstack((a_ub, a_eq)))
+    if not np.isfinite(a.data).all():
+        raise ValueError(_NOT_FINITE)
+    return a.indptr.astype(np.int32, copy=False), a.indices.astype(np.int32, copy=False), a.data
+
+
+# each `_record_matrices` pair and its `_colwise`, by the id of the pair's
+# inequality matrix; an entry holds the pair, so no other matrix can take
+# that id while the entry lives, and a pair rebuilt after
+# `_record_matrices.cache_clear()` gets an entry of its own
+_RECORD_COLWISE: dict[int, tuple] = {}
+
+
+def _record_colwise(a_ub, a_eq) -> tuple[np.ndarray, ...] | None:
+    """`_colwise` of the `_record_matrices` pair that is (a_ub, a_eq) itself,
+    built with it; None for any other matrices."""
+    pair_ub, pair_eq, arrays = _RECORD_COLWISE.get(id(a_ub), (None, None, None))
+    return arrays if pair_ub is a_ub and pair_eq is a_eq else None
+
+
 def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds) -> SimpleNamespace:
     """Minimize c.x under A_ub x <= b_ub, A_eq x = b_eq and ``bounds``, an
     (n, 2) array of (lower, upper), on HiGHS (Huangfu & Hall, Math. Prog.
@@ -118,35 +149,35 @@ def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds) -> SimpleNamespace:
     after the solve, which turns an optimum whose x, slacks or equality
     residuals miss by more than `_FEASIBILITY_TOL` into status 4. Each call
     solves on a fresh HiGHS instance, so no solve depends on an earlier
-    one. Non-finite c, A or b, or a NaN bound, raise ValueError.
+    one. Non-finite c, A or b, a NaN bound, or shapes that do not match,
+    raise ValueError. A is built per call (`_colwise`), except for a
+    `_record_matrices` pair, whose arrays are built once with it; the model
+    goes to HiGHS as numpy arrays.
 
     Returns scipy's fields that extlp reads: ``status``, ``message``,
     ``nit``, and, at an optimum, ``x``, ``fun`` and the row duals
     ``ineqlin.marginals`` and ``eqlin.marginals`` (None otherwise).
     """
     c, b_ub, b_eq, bounds = (np.asarray(v, dtype=float) for v in (c, b_ub, b_eq, bounds))
-    if sparse.issparse(A_ub) or sparse.issparse(A_eq):
-        a = sparse.csc_array(sparse.vstack((A_ub, A_eq)))
-    else:
-        a = sparse.csc_array(np.vstack((A_ub, A_eq)))
-    if not all(np.isfinite(v).all() for v in (c, a.data, b_ub, b_eq)) or np.isnan(bounds).any():
-        raise ValueError("LP data must be finite and its bounds not NaN")
+    if not all(np.isfinite(v).all() for v in (c, b_ub, b_eq)) or np.isnan(bounds).any():
+        raise ValueError(_NOT_FINITE)
+    # HiGHS reads each array to the lengths passed with it, unchecked
+    if (np.shape(A_ub) != b_ub.shape + c.shape or np.shape(A_eq) != b_eq.shape + c.shape
+            or bounds.shape != c.shape + (2,)):
+        raise ValueError("LP data must have matching shapes")
+    start, index, value = _record_colwise(A_ub, A_eq) or _colwise(A_ub, A_eq)
     n_ub = len(b_ub)
     rhs = np.concatenate([b_ub, b_eq])
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(rhs)
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, bounds[:, 0], bounds[:, 1]
-    lp.row_lower_, lp.row_upper_ = np.concatenate([np.full(n_ub, -np.inf), b_eq]), rhs
+    lhs = np.concatenate([np.full(n_ub, -np.inf), b_eq])
 
     solver = highs._Highs()
     solver.passOptions(_highs_options())  # valid by construction
     failed = highs.HighsStatus.kError
     res = SimpleNamespace(nit=0, x=None, fun=None, ineqlin=SimpleNamespace(marginals=None),
                           eqlin=SimpleNamespace(marginals=None))
-    if solver.passModel(lp) == failed:
+    if solver.passModel(len(c), len(rhs), len(value), _COLWISE, _MINIMIZE, 0.0,
+                        c, bounds[:, 0], bounds[:, 1], lhs, rhs, start[:-1], index,
+                        value, np.zeros(len(c), dtype=np.int32)) == failed:
         model_status = _MODEL_STATUS.kModelError
         text = solver.modelStatusToString(model_status)
     elif solver.run() == failed:
@@ -188,9 +219,9 @@ def _lp_minima(lps: list[_Lp], a_ub, a_eq) -> list[float]:
     The blocks share no row and no column, so an optimum of the sum
     restricts to an optimum of each block, and block i's value is c_i . x_i.
     Solving several LPs in one call pays `linprog`'s fixed per-call cost
-    (input checks, stacking, the HiGHS set-up and hand-over) once; for LPs
-    this small it is about a third of each call, 0.48 of 1.38 ms on average
-    over the calls of perfbench's lp-corpus round (2 cores, one BLAS thread).
+    (input checks, the HiGHS set-up and hand-over) once; for LPs this small
+    it is about a fifth of each call, 0.25 of 1.27 ms on average over the 138
+    calls of perfbench's lp-corpus round (2 cores, one BLAS thread).
     """
     res = _solve(lps, a_ub, a_eq)
     ends = np.cumsum([len(lp.c) for lp in lps])
@@ -587,13 +618,15 @@ def _record_matrices(inputs: tuple[int, ...], outputs: tuple[int, ...],
                      extension_class: ExtensionClass, k: int) -> tuple[sparse.csc_array, ...]:
     """kron(I_k, M) for the inequality and the equality rows, in CSC form
     and read-only: M is one record's distance-LP matrix (`_distance_matrices`
-    of the class rows), stored without explicit zeros."""
+    of the class rows), stored without explicit zeros. Their stack is built
+    here too, once, as HiGHS's read-only arrays (`_record_colwise`)."""
     eye = sparse.identity(k, format="csc")
     sums = tuple(sparse.kron(eye, sparse.csc_array(m), format="csc") for m in
                  _distance_matrices(*_class_rows(inputs, outputs, extension_class)))
-    for m in sums:
-        for part in (m.data, m.indices, m.indptr):
-            part.flags.writeable = False
+    colwise = _colwise(*sums)
+    for part in (*colwise, *(v for m in sums for v in (m.data, m.indices, m.indptr))):
+        part.flags.writeable = False
+    _RECORD_COLWISE[id(sums[0])] = (*sums, colwise)
     return sums
 
 

@@ -253,14 +253,16 @@ class _GammaMap:
         """`schur`'s index tables over the slot pairs p <= q: the flat
         positions of (a_p, a_q), (b_p, b_q), (a_p, b_q) and (b_p, a_q) in nt
         and of (var_p, var_q) in M; then where the pairs p = q lie. They are
-        built in the smallest integer type that holds every position (uint16
-        for 22 words): with int64 tables and intermediates a solve's peak
-        memory grew by about 2 MB, with int32 ones by about 1 MB."""
+        intp, the type `take` and `bincount` index with: narrower tables
+        (uint16 for 22 words) made each gather first cast a 214 KB copy,
+        which grew the heap on every Newton step. In a fresh process (2
+        cores, one BLAS thread) `npa-scan --alphas 0,0.5 --grid 4
+        --max-iters 3200` took 0.19-0.22 s with uint16 tables and 0.15-0.17 s
+        with intp ones, for the same bits and about 1 MB more peak memory."""
         d, n, m = self.entry.shape[0], self.starts.size, self.a.size
-        index = np.min_scalar_type(max(d * d, n * n) - 1)
-        a, b, var = (v.astype(index) for v in (self.a, self.b, self.var))
-        p = np.repeat(np.arange(m, dtype=index), np.arange(m, 0, -1))
-        q = np.concatenate([np.arange(i, m, dtype=index) for i in range(m)])
+        a, b, var = (v.astype(np.intp) for v in (self.a, self.b, self.var))
+        p = np.repeat(np.arange(m), np.arange(m, 0, -1))
+        q = np.concatenate([np.arange(i, m) for i in range(m)])
 
         def table(rows: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
             out = rows[p] * width

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 
 from nonshare import extlp
@@ -46,6 +47,7 @@ from nonshare.extlp import (
     _distance_lp,
     _lp_minima,
     _proven_capacity,
+    _record_colwise,
     _record_matrices,
 )
 from nonshare.qkernel import bell_strategy, born_behavior
@@ -381,6 +383,41 @@ def test_record_matrices_are_built_once_and_never_changed():
     assert _record_matrices.cache_info().misses == 3
 
 
+def test_record_arrays_are_built_once_with_their_pair(monkeypatch):
+    # HiGHS's arrays of a chunk's stacked matrix come with the cached pair,
+    # and every call on that pair reuses them
+    built = []
+    colwise = extlp._colwise
+
+    def counted(*args):
+        built.append(args)
+        return colwise(*args)
+
+    monkeypatch.setattr(extlp, "_colwise", counted)
+    _record_matrices.cache_clear()
+    verification_records(lhv_pairs(11), NO_SIGNALLING)  # chunks of 5, 5 and 1
+    for p12 in lhv_pairs(3):
+        verification_record(p12, NO_SIGNALLING)
+        verification_record(p12, CLASSICAL)
+    assert len(built) == _record_matrices.cache_info().misses == 3
+    for cls, k in ((NO_SIGNALLING, 5), (NO_SIGNALLING, 1), (CLASSICAL, 1)):
+        a_ub, a_eq = _record_matrices((2, 2), (2, 2), cls, k)
+        arrays = _record_colwise(a_ub, a_eq)
+        ref = sparse.csc_array(sparse.vstack((a_ub, a_eq)))
+        assert arrays[0].dtype == arrays[1].dtype == np.int32
+        for part, ref_part in zip(arrays, (ref.indptr, ref.indices, ref.data)):
+            assert np.array_equal(part, ref_part)
+            assert not part.flags.writeable
+        # only that very pair: equal copies are not recognised, nor is
+        # another matrix that a freed pair's id might be reused for
+        other = a_ub.copy()
+        assert _record_colwise(other, a_eq) is None
+        assert _record_colwise(a_ub, a_eq.copy()) is None
+        monkeypatch.setitem(extlp._RECORD_COLWISE, id(other), (a_ub, a_eq, arrays))
+        assert _record_colwise(other, a_eq) is None
+    assert len(built) == 3
+
+
 def chsh_forms(table: np.ndarray) -> np.ndarray:
     """S_xy = E00 + E01 + E10 + E11 - 2 E_xy for the four input pairs."""
     corr = np.einsum("xyab,ab->xy", table, [[1.0, -1.0], [-1.0, 1.0]])
@@ -697,6 +734,30 @@ def test_driver_matches_scipy_linprog_bit_for_bit(monkeypatch):
     assert statuses.count(0) == 60 and sorted(statuses[-2:]) == [2, 3]
 
 
+def test_record_pair_rebuilt_after_cache_clear_solves_like_scipy():
+    # a pair rebuilt after cache_clear(), of another chunk size than the one
+    # dropped, gets its own arrays: HiGHS never sees the old pair's matrix
+    old = _record_matrices((2, 2), (2, 2), NO_SIGNALLING, 2)
+    old_arrays = _record_colwise(*old)
+    _record_matrices.cache_clear()
+    del old
+    pool = nonlocal_draws(2, 28) + [random_ns_behavior(np.random.default_rng(28))]
+    new = _record_matrices((2, 2), (2, 2), NO_SIGNALLING, len(pool))
+    assert _record_colwise(*new) is not old_arrays
+    lps = [_distance_lp(ExtensionProblem(authorized=p12, extension_class=NO_SIGNALLING),
+                        matrices=False) for p12 in pool]
+    args = dict(c=np.concatenate([lp.c for lp in lps]), A_ub=new[0],
+                b_ub=np.concatenate([lp.b_ub for lp in lps]), A_eq=new[1],
+                b_eq=np.concatenate([lp.b_eq for lp in lps]),
+                bounds=np.concatenate([lp.bounds for lp in lps]))
+    ours, theirs = extlp.linprog(**args), linprog(**args, method="highs")
+    assert ours.status == theirs.status == 0 and ours.nit == theirs.nit
+    for a, b in ((ours.x, theirs.x), (ours.fun, theirs.fun),
+                 (ours.ineqlin.marginals, theirs.ineqlin.marginals),
+                 (ours.eqlin.marginals, theirs.eqlin.marginals)):
+        assert float_bits(a) == float_bits(b)
+
+
 def test_driver_rejects_non_finite_data():
     lp = one_variable_lp(1.0, [[1.0]], [1.0])
     args = dict(c=lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=lp.bounds)
@@ -711,3 +772,18 @@ def test_driver_rejects_non_finite_data():
         if name != "bounds":  # scipy reads a NaN bound as no bound
             with pytest.raises(ValueError):
                 linprog(**changed, method="highs")
+
+
+def test_driver_rejects_mismatched_shapes():
+    # HiGHS takes raw arrays with their lengths, so a short one must never
+    # reach it
+    lp = one_variable_lp(1.0, [[1.0]], [1.0])
+    args = dict(c=lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=lp.bounds)
+    for name, bad in (("c", np.ones(2)), ("A_ub", np.ones((1, 2))), ("b_ub", np.ones(2)),
+                      ("A_eq", np.ones((1, 1))), ("bounds", np.zeros((0, 2))),
+                      ("bounds", np.zeros((1, 3)))):
+        changed = {**args, name: bad}
+        with pytest.raises(ValueError, match="shapes"):
+            extlp.linprog(**changed)
+        with pytest.raises(ValueError):
+            linprog(**changed, method="highs")

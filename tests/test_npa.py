@@ -147,6 +147,16 @@ def test_schur_complement_matches_the_dense_definition(condition):
     assert np.abs(schur - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
+def test_schur_index_tables_are_intp():
+    # take and bincount index with intp, so any narrower table costs a cast
+    # per gather on every Newton step
+    d, n = STRUCTURE.n_words, STRUCTURE.n_variables
+    (aa, bb, ab, ba, cell), diagonal = npa._GammaMap(STRUCTURE.entry_vars)._pairs
+    for table in (aa, bb, ab, ba, cell, diagonal):
+        assert table.dtype == np.intp
+    assert max(t.max() for t in (aa, bb, ab, ba)) < d * d and cell.max() < n * n
+
+
 def test_lu_factor_solves_and_reports_a_zero_pivot_without_warning(recwarn):
     rng = np.random.default_rng(3)
     half, scale = rng.standard_normal((74, 74)), np.geomspace(1.0, 1e4, 74)
