@@ -58,7 +58,7 @@ class LpNumericalError(RuntimeError):
 class _Lp(NamedTuple):
     """Minimize c.x under a_ub x <= b_ub, a_eq x = b_eq and per-variable
     bounds, an (n, 2) array of (lower, upper) with infinities where free.
-    The matrices are None where a direct sum's matrices stand in for them."""
+    The matrices are None on the records of a chunk (`_distance_lp`)."""
 
     c: np.ndarray
     a_ub: np.ndarray | None
@@ -105,35 +105,22 @@ def _highs_options() -> highs.HighsOptions:
     return options
 
 
-_NOT_FINITE = "LP data must be finite and its bounds not NaN"
-_COLWISE, _MINIMIZE = int(highs.MatrixFormat.kColwise), int(highs.ObjSense.kMinimize)
+_ROWWISE, _MINIMIZE = int(highs.MatrixFormat.kRowwise), int(highs.ObjSense.kMinimize)
 
 
-def _colwise(a_ub, a_eq) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """csc(vstack(a_ub, a_eq)), dense or sparse, as HiGHS takes it: int32
-    column starts, the last of which is the count of nonzeros, int32 row
-    indices and the values, which must be finite (else ValueError)."""
-    if sparse.issparse(a_ub) or sparse.issparse(a_eq):
-        a = sparse.csc_array(sparse.vstack((a_ub, a_eq)))
-    else:
-        a = sparse.csc_array(np.vstack((a_ub, a_eq)))
-    if not np.isfinite(a.data).all():
-        raise ValueError(_NOT_FINITE)
-    return a.indptr.astype(np.int32, copy=False), a.indices.astype(np.int32, copy=False), a.data
-
-
-# each `_record_matrices` pair and its `_colwise`, by the id of the pair's
-# inequality matrix; an entry holds the pair, so no other matrix can take
-# that id while the entry lives, and a pair rebuilt after
-# `_record_matrices.cache_clear()` gets an entry of its own
-_RECORD_COLWISE: dict[int, tuple] = {}
-
-
-def _record_colwise(a_ub, a_eq) -> tuple[np.ndarray, ...] | None:
-    """`_colwise` of the `_record_matrices` pair that is (a_ub, a_eq) itself,
-    built with it; None for any other matrices."""
-    pair_ub, pair_eq, arrays = _RECORD_COLWISE.get(id(a_ub), (None, None, None))
-    return arrays if pair_ub is a_ub and pair_eq is a_eq else None
+def _rows(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR arrays (indptr, indices, data) of ``a``, dense or sparse, with
+    sorted indices and no duplicate entries, as HiGHS requires; a sparse
+    matrix not in that form is summed on a copy, never in place."""
+    if not sparse.issparse(a):
+        a = np.asarray(a, dtype=float)
+        rows, cols = np.nonzero(a)
+        return np.searchsorted(rows, np.arange(len(a) + 1)), cols, a[rows, cols]
+    a = a if a.format == "csr" else sparse.csr_array(a)
+    if not a.has_canonical_format:
+        a = a.copy()
+        a.sum_duplicates()
+    return a.indptr, a.indices, a.data
 
 
 def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds) -> SimpleNamespace:
@@ -143,29 +130,32 @@ def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds) -> SimpleNamespace:
 
     A thin driver for the HiGHS binding that scipy ships, doing what
     ``scipy.optimize.linprog(..., method="highs")`` does wherever the result
-    depends on it: the same model, A = csc(vstack(A_ub, A_eq)) with rows
+    depends on it: the same model, A = vstack(A_ub, A_eq) with rows
     -inf <= A_ub x <= b_ub and b_eq <= A_eq x <= b_eq; the same options
     (`_highs_options`); the same status and message; and the same check
     after the solve, which turns an optimum whose x, slacks or equality
     residuals miss by more than `_FEASIBILITY_TOL` into status 4. Each call
     solves on a fresh HiGHS instance, so no solve depends on an earlier
     one. Non-finite c, A or b, a NaN bound, or shapes that do not match,
-    raise ValueError. A is built per call (`_colwise`), except for a
-    `_record_matrices` pair, whose arrays are built once with it; the model
-    goes to HiGHS as numpy arrays.
+    raise ValueError. A goes to HiGHS as numpy arrays in row-wise form, the
+    concatenation of the CSR arrays of A_ub and A_eq (`_rows`); HiGHS turns
+    it column-wise before it solves, so the bits are those of scipy's CSC.
 
     Returns scipy's fields that extlp reads: ``status``, ``message``,
     ``nit``, and, at an optimum, ``x``, ``fun`` and the row duals
     ``ineqlin.marginals`` and ``eqlin.marginals`` (None otherwise).
     """
     c, b_ub, b_eq, bounds = (np.asarray(v, dtype=float) for v in (c, b_ub, b_eq, bounds))
-    if not all(np.isfinite(v).all() for v in (c, b_ub, b_eq)) or np.isnan(bounds).any():
-        raise ValueError(_NOT_FINITE)
     # HiGHS reads each array to the lengths passed with it, unchecked
     if (np.shape(A_ub) != b_ub.shape + c.shape or np.shape(A_eq) != b_eq.shape + c.shape
             or bounds.shape != c.shape + (2,)):
         raise ValueError("LP data must have matching shapes")
-    start, index, value = _record_colwise(A_ub, A_eq) or _colwise(A_ub, A_eq)
+    (ub_start, ub_index, ub_value), (eq_start, eq_index, eq_value) = _rows(A_ub), _rows(A_eq)
+    value = np.concatenate([ub_value, eq_value], dtype=float)
+    if not all(np.isfinite(v).all() for v in (c, b_ub, b_eq, value)) or np.isnan(bounds).any():
+        raise ValueError("LP data must be finite and its bounds not NaN")
+    start = np.concatenate([ub_start[:-1], eq_start[:-1] + ub_start[-1]], dtype=np.int32)
+    index = np.concatenate([ub_index, eq_index], dtype=np.int32)
     n_ub = len(b_ub)
     rhs = np.concatenate([b_ub, b_eq])
     lhs = np.concatenate([np.full(n_ub, -np.inf), b_eq])
@@ -175,8 +165,8 @@ def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds) -> SimpleNamespace:
     failed = highs.HighsStatus.kError
     res = SimpleNamespace(nit=0, x=None, fun=None, ineqlin=SimpleNamespace(marginals=None),
                           eqlin=SimpleNamespace(marginals=None))
-    if solver.passModel(len(c), len(rhs), len(value), _COLWISE, _MINIMIZE, 0.0,
-                        c, bounds[:, 0], bounds[:, 1], lhs, rhs, start[:-1], index,
+    if solver.passModel(len(c), len(rhs), len(value), _ROWWISE, _MINIMIZE, 0.0,
+                        c, bounds[:, 0], bounds[:, 1], lhs, rhs, start, index,
                         value, np.zeros(len(c), dtype=np.int32)) == failed:
         model_status = _MODEL_STATUS.kModelError
         text = solver.modelStatusToString(model_status)
@@ -211,33 +201,19 @@ def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds) -> SimpleNamespace:
     return res
 
 
-def _lp_minima(lps: list[_Lp], a_ub, a_eq) -> list[float]:
-    """Minimum of each LP, from one HiGHS solve of their direct sum.
-
-    ``a_ub`` and ``a_eq`` are the sum's stacked constraint matrices, dense
-    or sparse: one LP's own, or `_record_matrices` for chunks of records.
-    The blocks share no row and no column, so an optimum of the sum
-    restricts to an optimum of each block, and block i's value is c_i . x_i.
-    Solving several LPs in one call pays `linprog`'s fixed per-call cost
-    (input checks, the HiGHS set-up and hand-over) once; for LPs this small
-    it is about a fifth of each call, 0.25 of 1.27 ms on average over the 138
-    calls of perfbench's lp-corpus round (2 cores, one BLAS thread).
-    """
-    res = _solve(lps, a_ub, a_eq)
-    ends = np.cumsum([len(lp.c) for lp in lps])
-    return [float(lp.c @ x) for lp, x in zip(lps, np.split(res.x, ends[:-1]))]
+def _minimum(lp: _Lp) -> float:
+    """Minimum of ``lp``: c . x at `_solve`'s optimum."""
+    return float(lp.c @ _solve(lp).x)
 
 
-def _solve(lps: list[_Lp], a_ub, a_eq):
-    """`linprog`'s result for the direct sum of `_lp_minima`, at an optimum."""
-    res = linprog(
-        np.concatenate([lp.c for lp in lps]),
-        A_ub=a_ub,
-        b_ub=np.concatenate([lp.b_ub for lp in lps]),
-        A_eq=a_eq,
-        b_eq=np.concatenate([lp.b_eq for lp in lps]),
-        bounds=np.concatenate([lp.bounds for lp in lps]),
-    )
+def _solve(lp: _Lp):
+    """`linprog`'s result for ``lp`` at an optimum, else LpInfeasibleError or
+    LpNumericalError. For LPs this small, `linprog`'s fixed cost (input
+    checks, the HiGHS set-up and hand-over) is about a fifth of each call,
+    0.29 of 1.34 ms on average over the 138 calls of perfbench's lp-corpus
+    round (2 cores, one BLAS thread), so `verification_records` solves a
+    chunk of records as one LP, their direct sum."""
+    res = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=lp.bounds)
     if res.status == 2:
         raise LpInfeasibleError("LP infeasible: " + res.message)
     if res.status != 0:  # unbounded (3) too: every LP here has a finite optimum
@@ -384,7 +360,7 @@ def collusive_vulnerability(prob: ExtensionProblem, kernel: GameKernel) -> float
     c = (kernel.values / (i1 * i2)).reshape(-1) @ prob.pair13
     n_ext = len(c)
     lp = _Lp(-c, np.zeros((0, n_ext)), np.zeros(0), prob.a_eq, prob.b_eq, _nonnegative(n_ext))
-    return -_lp_minima([lp], lp.a_ub, lp.a_eq)[0]
+    return -_minimum(lp)
 
 
 def shadow_tv_distance(prob: ExtensionProblem) -> float:
@@ -395,7 +371,7 @@ def shadow_tv_distance(prob: ExtensionProblem) -> float:
     uniform over input pairs.
     """
     lp = _distance_lp(prob)
-    return _lp_minima([lp], lp.a_ub, lp.a_eq)[0]
+    return _minimum(lp)
 
 
 def _distance_lp(prob: ExtensionProblem, matrices: bool = True) -> _Lp:
@@ -439,7 +415,7 @@ def anticollusion_capacity(prob: ExtensionProblem) -> float:
     for a local pair).
     """
     lp = _capacity_lp(prob)
-    return max(0.0, -_lp_minima([lp], lp.a_ub, lp.a_eq)[0])
+    return max(0.0, -_minimum(lp))
 
 
 def _capacity_lp(prob: ExtensionProblem) -> _Lp:
@@ -508,10 +484,11 @@ def verification_records(p12s: list[Behavior], extension_class: ExtensionClass) 
     optimum (`_distance`), and its ``capacity`` is `_proven_capacity`, a
     lower bound on the capacity proven from the same LP's duals, so the two
     agree up to rounding exactly when the solver's optimum is right. A chunk
-    of k records is the sparse sum kron(I_k, M) of `_record_matrices`, and
-    only c, b and the bounds are gathered per record; the solution and the
-    duals are split back per record. The problems of one chunk are built at
-    a time. All behaviors share one set of alphabets.
+    of k records is one LP, the direct sum of theirs: kron(I_k, M) of
+    `_record_matrices`, with c, b and the bounds gathered per record. The
+    blocks share no row and no column, so the solution and the duals split
+    back into each record's own. The problems of one chunk are built at a
+    time. All behaviors share one set of alphabets.
     """
     shapes = {(p.inputs_per_party, p.outputs_per_party) for p in p12s}
     if len(shapes) > 1:
@@ -522,8 +499,11 @@ def verification_records(p12s: list[Behavior], extension_class: ExtensionClass) 
         probs = [ExtensionProblem(authorized=p12, extension_class=extension_class)
                  for p12 in chunk]
         lps, k = [_distance_lp(prob, matrices=False) for prob in probs], len(chunk)
-        res = _solve(lps, *_record_matrices(
-            chunk[0].inputs_per_party, chunk[0].outputs_per_party, extension_class, k))
+        c, b_ub, b_eq, bounds = (np.concatenate([getattr(lp, name) for lp in lps])
+                                 for name in ("c", "b_ub", "b_eq", "bounds"))
+        a_ub, a_eq = _record_matrices(chunk[0].inputs_per_party, chunk[0].outputs_per_party,
+                                      extension_class, k)
+        res = _solve(_Lp(c, a_ub, b_ub, a_eq, b_eq, bounds))
         for prob, lp, x, ub_duals, eq_duals in zip(
                 probs, lps, np.split(res.x, k), np.split(res.ineqlin.marginals, k),
                 np.split(res.eqlin.marginals, k)):
@@ -615,18 +595,14 @@ def _proven_capacity(prob: ExtensionProblem, h: np.ndarray, nu: np.ndarray, t: f
 
 @cache
 def _record_matrices(inputs: tuple[int, ...], outputs: tuple[int, ...],
-                     extension_class: ExtensionClass, k: int) -> tuple[sparse.csc_array, ...]:
-    """kron(I_k, M) for the inequality and the equality rows, in CSC form
+                     extension_class: ExtensionClass, k: int) -> tuple[sparse.csr_array, ...]:
+    """kron(I_k, M) for the inequality and the equality rows, in CSR form
     and read-only: M is one record's distance-LP matrix (`_distance_matrices`
-    of the class rows), stored without explicit zeros. Their stack is built
-    here too, once, as HiGHS's read-only arrays (`_record_colwise`)."""
-    eye = sparse.identity(k, format="csc")
-    sums = tuple(sparse.kron(eye, sparse.csc_array(m), format="csc") for m in
+    of the class rows), stored without explicit zeros."""
+    sums = tuple(sparse.kron(sparse.identity(k), sparse.csr_array(m), format="csr") for m in
                  _distance_matrices(*_class_rows(inputs, outputs, extension_class)))
-    colwise = _colwise(*sums)
-    for part in (*colwise, *(v for m in sums for v in (m.data, m.indices, m.indptr))):
+    for part in (v for m in sums for v in (m.data, m.indices, m.indptr)):
         part.flags.writeable = False
-    _RECORD_COLWISE[id(sums[0])] = (*sums, colwise)
     return sums
 
 

@@ -45,9 +45,8 @@ from nonshare.extlp import (
     _class_rows,
     _distance,
     _distance_lp,
-    _lp_minima,
+    _minimum,
     _proven_capacity,
-    _record_colwise,
     _record_matrices,
 )
 from nonshare.qkernel import bell_strategy, born_behavior
@@ -76,7 +75,7 @@ def one_variable_lp(c: float, a_ub=None, b_ub=None) -> _Lp:
 
 def minimum(lp: _Lp) -> float:
     """One LP solved alone, on its own matrices."""
-    return _lp_minima([lp], lp.a_ub, lp.a_eq)[0]
+    return _minimum(lp)
 
 
 def test_lp_solve_infeasible_and_unbounded():
@@ -374,48 +373,13 @@ def test_record_matrices_are_built_once_and_never_changed():
         cached = _record_matrices((2, 2), (2, 2), cls, k)
         fresh = _record_matrices.__wrapped__((2, 2), (2, 2), cls, k)
         for m, ref in zip(cached, fresh):
-            assert m.shape == ref.shape and m.format == ref.format == "csc"
+            assert m.shape == ref.shape and m.format == ref.format == "csr"
             for part, ref_part in ((m.data, ref.data), (m.indices, ref.indices),
                                    (m.indptr, ref.indptr)):
                 assert np.array_equal(part, ref_part)
                 assert not part.flags.writeable
             assert np.all(m.data != 0.0)  # no explicit zeros
     assert _record_matrices.cache_info().misses == 3
-
-
-def test_record_arrays_are_built_once_with_their_pair(monkeypatch):
-    # HiGHS's arrays of a chunk's stacked matrix come with the cached pair,
-    # and every call on that pair reuses them
-    built = []
-    colwise = extlp._colwise
-
-    def counted(*args):
-        built.append(args)
-        return colwise(*args)
-
-    monkeypatch.setattr(extlp, "_colwise", counted)
-    _record_matrices.cache_clear()
-    verification_records(lhv_pairs(11), NO_SIGNALLING)  # chunks of 5, 5 and 1
-    for p12 in lhv_pairs(3):
-        verification_record(p12, NO_SIGNALLING)
-        verification_record(p12, CLASSICAL)
-    assert len(built) == _record_matrices.cache_info().misses == 3
-    for cls, k in ((NO_SIGNALLING, 5), (NO_SIGNALLING, 1), (CLASSICAL, 1)):
-        a_ub, a_eq = _record_matrices((2, 2), (2, 2), cls, k)
-        arrays = _record_colwise(a_ub, a_eq)
-        ref = sparse.csc_array(sparse.vstack((a_ub, a_eq)))
-        assert arrays[0].dtype == arrays[1].dtype == np.int32
-        for part, ref_part in zip(arrays, (ref.indptr, ref.indices, ref.data)):
-            assert np.array_equal(part, ref_part)
-            assert not part.flags.writeable
-        # only that very pair: equal copies are not recognised, nor is
-        # another matrix that a freed pair's id might be reused for
-        other = a_ub.copy()
-        assert _record_colwise(other, a_eq) is None
-        assert _record_colwise(a_ub, a_eq.copy()) is None
-        monkeypatch.setitem(extlp._RECORD_COLWISE, id(other), (a_ub, a_eq, arrays))
-        assert _record_colwise(other, a_eq) is None
-    assert len(built) == 3
 
 
 def chsh_forms(table: np.ndarray) -> np.ndarray:
@@ -734,28 +698,41 @@ def test_driver_matches_scipy_linprog_bit_for_bit(monkeypatch):
     assert statuses.count(0) == 60 and sorted(statuses[-2:]) == [2, 3]
 
 
-def test_record_pair_rebuilt_after_cache_clear_solves_like_scipy():
-    # a pair rebuilt after cache_clear(), of another chunk size than the one
-    # dropped, gets its own arrays: HiGHS never sees the old pair's matrix
-    old = _record_matrices((2, 2), (2, 2), NO_SIGNALLING, 2)
-    old_arrays = _record_colwise(*old)
-    _record_matrices.cache_clear()
-    del old
-    pool = nonlocal_draws(2, 28) + [random_ns_behavior(np.random.default_rng(28))]
-    new = _record_matrices((2, 2), (2, 2), NO_SIGNALLING, len(pool))
-    assert _record_colwise(*new) is not old_arrays
-    lps = [_distance_lp(ExtensionProblem(authorized=p12, extension_class=NO_SIGNALLING),
-                        matrices=False) for p12 in pool]
-    args = dict(c=np.concatenate([lp.c for lp in lps]), A_ub=new[0],
-                b_ub=np.concatenate([lp.b_ub for lp in lps]), A_eq=new[1],
-                b_eq=np.concatenate([lp.b_eq for lp in lps]),
-                bounds=np.concatenate([lp.bounds for lp in lps]))
+def duplicated_unsorted(a: np.ndarray) -> sparse.csr_array:
+    """``a`` as a read-only CSR array, like a `_record_matrices` pair, whose
+    rows list their columns in descending order and hold their first entry
+    twice, as two equal halves."""
+    rows = [np.flatnonzero(row)[::-1] for row in a]
+    cols = [np.concatenate([r[:1], r]) for r in rows]
+    data = [np.concatenate([a[i, r[:1]] / 2, a[i, r[:1]] / 2, a[i, r[1:]]])
+            for i, r in enumerate(rows)]
+    indptr = np.concatenate([[0], np.cumsum([len(c) for c in cols])])
+    m = sparse.csr_array((np.concatenate(data), np.concatenate(cols), indptr), shape=a.shape)
+    for part in (m.data, m.indices, m.indptr):
+        part.flags.writeable = False
+    return m
+
+
+@pytest.mark.parametrize("form", [np.asarray, sparse.csr_array, sparse.csc_array,
+                                  sparse.coo_array, duplicated_unsorted],
+                         ids=["dense", "csr", "csc", "coo", "csr-duplicate-unsorted"])
+def test_driver_matches_scipy_linprog_on_every_matrix_form(form):
+    # HiGHS rejects a matrix with duplicate entries, which scipy sums; the
+    # driver sums them too, on a copy, so a read-only matrix stays as it was
+    a_ub = form(np.array([[1.0, 1.0, 0.0], [1.0, 3.0, 2.0]]))
+    a_eq = form(np.array([[1.0, 0.0, 1.0]]))
+    args = dict(c=np.array([-1.0, -2.0, 0.5]), A_ub=a_ub, b_ub=np.array([4.0, 6.0]),
+                A_eq=a_eq, b_eq=np.array([1.0]),
+                bounds=np.array([[0.0, np.inf], [0.0, np.inf], [0.0, 3.0]]))
     ours, theirs = extlp.linprog(**args), linprog(**args, method="highs")
-    assert ours.status == theirs.status == 0 and ours.nit == theirs.nit
+    assert ours.status == 0
+    assert (ours.status, ours.nit, ours.message) == (theirs.status, theirs.nit, theirs.message)
     for a, b in ((ours.x, theirs.x), (ours.fun, theirs.fun),
                  (ours.ineqlin.marginals, theirs.ineqlin.marginals),
                  (ours.eqlin.marginals, theirs.eqlin.marginals)):
         assert float_bits(a) == float_bits(b)
+    if form is duplicated_unsorted:
+        assert a_ub.nnz == 7 and a_eq.nnz == 3 and not a_ub.has_canonical_format
 
 
 def test_driver_rejects_non_finite_data():
