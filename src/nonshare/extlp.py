@@ -42,8 +42,10 @@ CLASSICAL = "classical"
 NO_SIGNALLING = "no-signalling"
 ExtensionClass = Literal["classical", "no-signalling"]
 
-# records per HiGHS call in `verification_records`: the time per record is
-# flat from 5 up, while the peak memory grows by about 0.5 MB per record
+# records per HiGHS call in `verification_records`: of chunks of 3, 5 and 8,
+# 5 gives the least time per record (0.56 ms, against 0.61 and 0.58 ms on
+# verify-distance's 150 records), and the peak memory grows by about 0.2 MB
+# per record of a chunk
 RECORDS_PER_CALL = 5
 
 
@@ -94,10 +96,14 @@ _FEASIBILITY_TOL = 10.0 * np.sqrt(1e-9)
 
 @cache
 def _highs_options() -> highs.HighsOptions:
-    """The options scipy's linprog passes HiGHS by default; HiGHS copies
-    them in `passOptions`, and this object is never changed."""
+    """The options scipy's linprog passes HiGHS with presolve off; HiGHS
+    copies them in `passOptions`, and this object is never changed. Every LP
+    here has at most 400 columns (a chunk of five records), where presolve
+    costs more than it saves: a classical record's `run` takes about 0.9 ms
+    with it and 0.3 ms without, for about 18 dual simplex iterations either
+    way."""
     options = highs.HighsOptions()
-    options.presolve = "on"
+    options.presolve = "off"
     options.highs_debug_level = 0
     options.log_to_console = False
     options.output_flag = False
@@ -128,18 +134,19 @@ def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds) -> SimpleNamespace:
     (n, 2) array of (lower, upper), on HiGHS (Huangfu & Hall, Math. Prog.
     Comp. 10 (2018) 119-142).
 
-    A thin driver for the HiGHS binding that scipy ships, doing what
-    ``scipy.optimize.linprog(..., method="highs")`` does wherever the result
-    depends on it: the same model, A = vstack(A_ub, A_eq) with rows
-    -inf <= A_ub x <= b_ub and b_eq <= A_eq x <= b_eq; the same options
-    (`_highs_options`); the same status and message; and the same check
-    after the solve, which turns an optimum whose x, slacks or equality
-    residuals miss by more than `_FEASIBILITY_TOL` into status 4. Each call
-    solves on a fresh HiGHS instance, so no solve depends on an earlier
-    one. Non-finite c, A or b, a NaN bound, or shapes that do not match,
-    raise ValueError. A goes to HiGHS as numpy arrays in row-wise form, the
-    concatenation of the CSR arrays of A_ub and A_eq (`_rows`); HiGHS turns
-    it column-wise before it solves, so the bits are those of scipy's CSC.
+    A thin driver for the HiGHS binding that scipy ships, giving the bits of
+    ``scipy.optimize.linprog(..., method="highs", options={"presolve":
+    False})`` by doing what it does wherever the result depends on it: the
+    same model, A = vstack(A_ub, A_eq) with rows -inf <= A_ub x <= b_ub and
+    b_eq <= A_eq x <= b_eq; the same options (`_highs_options`); the same
+    status and message; and the same check after the solve, which turns an
+    optimum whose x, slacks or equality residuals miss by more than
+    `_FEASIBILITY_TOL` into status 4. Each call solves on a fresh HiGHS
+    instance, so no solve depends on an earlier one. Non-finite c, A or b, a
+    NaN bound, or shapes that do not match, raise ValueError. A goes to
+    HiGHS as numpy arrays in row-wise form, the concatenation of the CSR
+    arrays of A_ub and A_eq (`_rows`); HiGHS turns it column-wise before it
+    solves, so the bits are those of scipy's CSC.
 
     Returns scipy's fields that extlp reads: ``status``, ``message``,
     ``nit``, and, at an optimum, ``x``, ``fun`` and the row duals
@@ -209,10 +216,10 @@ def _minimum(lp: _Lp) -> float:
 def _solve(lp: _Lp):
     """`linprog`'s result for ``lp`` at an optimum, else LpInfeasibleError or
     LpNumericalError. For LPs this small, `linprog`'s fixed cost (input
-    checks, the HiGHS set-up and hand-over) is about a fifth of each call,
-    0.29 of 1.34 ms on average over the 138 calls of perfbench's lp-corpus
-    round (2 cores, one BLAS thread), so `verification_records` solves a
-    chunk of records as one LP, their direct sum."""
+    checks, the HiGHS set-up and hand-over) is about a third of each call,
+    0.28-0.30 of 0.87-0.93 ms on average over the 138 calls of perfbench's
+    lp-corpus round (2 cores, one BLAS thread), so `verification_records`
+    solves a chunk of records as one LP, their direct sum."""
     res = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=lp.bounds)
     if res.status == 2:
         raise LpInfeasibleError("LP infeasible: " + res.message)
@@ -505,8 +512,8 @@ def verification_records(p12s: list[Behavior], extension_class: ExtensionClass) 
                                       extension_class, k)
         res = _solve(_Lp(c, a_ub, b_ub, a_eq, b_eq, bounds))
         for prob, lp, x, ub_duals, eq_duals in zip(
-                probs, lps, np.split(res.x, k), np.split(res.ineqlin.marginals, k),
-                np.split(res.eqlin.marginals, k)):
+                probs, lps, res.x.reshape(k, -1), res.ineqlin.marginals.reshape(k, -1),
+                res.eqlin.marginals.reshape(k, -1)):
             capacity = _proven_capacity(prob, *_capacity_dual(prob, ub_duals, eq_duals))
             distance = _distance(lp, x, ub_duals, eq_duals)
             records.append({
@@ -535,8 +542,11 @@ def _distance(lp: _Lp, x: np.ndarray, ub_duals: np.ndarray, eq_duals: np.ndarray
     Both are the optimum in exact arithmetic, but the optimal extension is
     seldom unique, and the vertex HiGHS reaches, and how it rounds, depends
     on the other records of the sum. The dual polytope does not depend on
-    P12 and its vertices are dyadic, so HiGHS computes y exactly and b.y is
-    the same however the records are chunked.
+    P12 and its vertices are dyadic, so HiGHS nearly always computes y
+    exactly and b.y is the same however the records are chunked. The
+    exception is a y off its dyadic vertex by rounding, which 5 of 600
+    single records of nonlocal PR-box mixtures and none of 600 random
+    no-signalling ones gave; b.y may then move in its last bits.
     """
     primal = float(lp.c @ x)
     dual = float(lp.b_ub @ ub_duals + lp.b_eq @ eq_duals) + 0.0  # no -0.0
@@ -566,7 +576,7 @@ def _capacity_dual(prob: ExtensionProblem, ub_duals: np.ndarray,
     """
     i1, i2 = prob.authorized.inputs_per_party
     pi_cell = 1.0 / (i1 * i2)
-    lambda1, lambda2 = np.split(-ub_duals, 2)
+    lambda1, lambda2 = -ub_duals.reshape(2, -1)
     h = np.clip((lambda1 - lambda2) / pi_cell + 0.5, 0.0, 1.0)
     nu = -eq_duals
     if not (np.isfinite(h).all() and np.isfinite(nu).all()):

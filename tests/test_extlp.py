@@ -641,6 +641,20 @@ def test_distance_is_the_dual_value_where_the_primal_confirms_it(monkeypatch):
     assert _distance(lp, x, ub_duals, eq_duals) == pytest.approx(dual + 1e-9, abs=1e-15)
 
 
+def test_distance_does_not_depend_on_presolve():
+    # extlp solves without presolve; each record's distance keeps the bits of
+    # its own distance LP solved alone by scipy's default, presolve on
+    pools = {NO_SIGNALLING: nonlocal_draws(100, 30) + lhv_pairs(10), CLASSICAL: lhv_pairs(10)}
+    for cls, pool in pools.items():
+        for p12, record in zip(pool, verification_records(pool, cls)):
+            lp = _distance_lp(ExtensionProblem(authorized=p12, extension_class=cls))
+            res = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+                          bounds=lp.bounds, method="highs")
+            presolved = _distance(lp, res.x, res.ineqlin.marginals, res.eqlin.marginals)
+            assert float_bits(record["distance"]) == float_bits(presolved), (cls, record)
+            assert 0.0 <= record["distance"] - record["capacity"] <= 1e-12, (cls, record)
+
+
 def module_lps(monkeypatch) -> list[tuple[tuple, dict]]:
     """The arguments of every `extlp.linprog` call this module makes on a
     small corpus: chunk sums of k = 1, ..., 5 records in both classes (three
@@ -680,14 +694,14 @@ def float_bits(v) -> bytes | None:
 
 
 def test_driver_matches_scipy_linprog_bit_for_bit(monkeypatch):
-    # extlp.linprog hands HiGHS the model and options of scipy's linprog
-    # itself, so the two agree to the bit on every LP of this module
+    # extlp.linprog hands HiGHS the model and options of scipy's linprog with
+    # presolve off, so the two agree to the bit on every LP of this module
     calls = module_lps(monkeypatch)
     assert len(calls) == 62
     statuses = []
     for args, kwargs in calls:
         ours = extlp.linprog(*args, **kwargs)
-        theirs = linprog(*args, **kwargs, method="highs")
+        theirs = linprog(*args, **kwargs, method="highs", options={"presolve": False})
         statuses.append(ours.status)
         assert (ours.status, ours.nit, ours.message) == (theirs.status, theirs.nit, theirs.message)
         for name in ("x", "fun", "ineqlin", "eqlin"):
@@ -724,7 +738,8 @@ def test_driver_matches_scipy_linprog_on_every_matrix_form(form):
     args = dict(c=np.array([-1.0, -2.0, 0.5]), A_ub=a_ub, b_ub=np.array([4.0, 6.0]),
                 A_eq=a_eq, b_eq=np.array([1.0]),
                 bounds=np.array([[0.0, np.inf], [0.0, np.inf], [0.0, 3.0]]))
-    ours, theirs = extlp.linprog(**args), linprog(**args, method="highs")
+    ours = extlp.linprog(**args)
+    theirs = linprog(**args, method="highs", options={"presolve": False})
     assert ours.status == 0
     assert (ours.status, ours.nit, ours.message) == (theirs.status, theirs.nit, theirs.message)
     for a, b in ((ours.x, theirs.x), (ours.fun, theirs.fun),
