@@ -1,8 +1,8 @@
 """Extension-polytope linear programming on binary alphabets.
 
-Desk-scale oracles for the collusion quantities that are polytopic: collusive
-vulnerability over classical and no-signalling extension classes, shadow
-TV-distance, and the anti-collusion capacity via a merged dual LP. All
+Desk-scale oracles for the collusion quantities that are polytopic, over
+classical and no-signalling extension classes: shadow TV-distance and the
+anti-collusion capacity via a merged dual LP. All
 problems live on 2-party authorized behaviors with at most 2 inputs and 2
 outputs per party; the colluder slot copies party 2's alphabets. Larger
 alphabets are rejected so every shipped solve stays exact and fast.
@@ -30,7 +30,6 @@ from scipy.optimize._highspy import _core as highs
 from .behaviors import (
     NO_SIGNALLING_TOL,
     Behavior,
-    GameKernel,
     LhvModel,
     behavior_to_json,
     check_no_signalling,
@@ -350,24 +349,6 @@ def _ns_extension_rows(basis: np.ndarray) -> np.ndarray:
         summed = np.moveaxis(basis.sum(axis=3 + k), k, 0)[..., :-1, :]  # no x_k, x3 < o3 - 1
         blocks.append(summed[1:] - summed[0])
     return np.concatenate([block.reshape(-1, n_vars) for block in blocks])
-
-
-def collusive_vulnerability(prob: ExtensionProblem, kernel: GameKernel) -> float:
-    """Best relabelled-test score any admissible extension grants the colluder.
-
-    No-signalling class: variables are the full tripartite table under the
-    marginal pin and parties 1 and 2's no-signalling, which imply the rest.
-    Classical class: variables are weights over deterministic tripartite strategies.
-    """
-    i1, i2 = prob.authorized.inputs_per_party
-    o1, o2 = prob.authorized.outputs_per_party
-    if kernel.values.shape != (i1, i2, o1, o2):
-        raise ValueError("kernel must live on the relabelled (1,3) pair alphabets")
-    # uniform inputs; i1 * i2 is a power of 2, so the division is exact
-    c = (kernel.values / (i1 * i2)).reshape(-1) @ prob.pair13
-    n_ext = len(c)
-    lp = _Lp(-c, np.zeros((0, n_ext)), np.zeros(0), prob.a_eq, prob.b_eq, _nonnegative(n_ext))
-    return -_minimum(lp)
 
 
 def shadow_tv_distance(prob: ExtensionProblem) -> float:

@@ -40,6 +40,9 @@ DEFAULT_EPS_REL = 1e-9
 DEFAULT_MAX_ITERS = 100000
 
 BOUNDARY_BAND = 1e-6  # the slack that `assemble` allows above q(alpha)
+# the words of `sdp_solve`'s sum-of-squares proof that I12 <= q(alpha)
+_SOS_WORDS = frozenset([(), ("A0",), ("A1",), ("B0",), ("B1",),
+                       ("A0", "B0"), ("A0", "B1"), ("A1", "B0"), ("A1", "B1")])
 STEP_FRACTION = 0.9
 MIN_STEP = 1e-8
 STALL_ITERS = 10
@@ -202,7 +205,9 @@ class MomentSolution:
     dual). `certified` means the relaxation's value lies in [primal,
     upper_bound], at most CERTIFIED_WIDTH wide: primal is obj.x at an x with
     Gamma(x) proven positive definite and con.x >= s in exact arithmetic.
-    `status` says how the solver stopped; `min_eig` is a diagnostic only."""
+    `status` says how the solver stopped; `min_eig` is a diagnostic only.
+    `iterations` counts the Newton steps of the solve, 0 for a row decided
+    without one."""
 
     primal: float
     dual: float
@@ -526,13 +531,17 @@ def sdp_solve(
     meet eps_abs + eps_rel * (1 + scale), or stalls (see `_interior_point`).
     An interior-point method has no ray test for infeasibility, so
     thresholds within BOUNDARY_BAND of the quantum maximum q(alpha), whose
-    feasible sets have almost no interior, are treated apart. Above q(alpha)
-    the level-2 maximum U of I12 is solved first, and a proven U below s
-    makes the row `infeasible` (NaN values, no main solve); at or below
-    q(alpha) no U is solved, since U >= q(alpha) >= s. Any other row in the
-    band is a `boundary` row: never certified, with the numbers of its
-    stall-bounded main solve. `iterations` counts the solve that gave the
-    numbers.
+    feasible sets have almost no interior, are treated apart. The identity
+
+        2q (q - I12) = (q - I12)^2 + (A0B0 - A0B1 + A1B0 + A1B1 - alpha A1)^2,
+
+    a sum of squares over the words of _SOS_WORDS (Acin, Massar & Pironio,
+    PRL 108, 100402 (2012); Bamps & Pironio, PRA 91, 052111 (2015)), proves
+    I12 <= q on every relaxation whose words include them. So a band row of
+    such a relaxation with s > q in exact arithmetic, s > 0 and s^2 > 8 + 2
+    alpha^2 over the rationals, is `infeasible` with no solve: NaN values and
+    0 iterations. Any other row in the band is a `boundary` row: never
+    certified, with the numbers of its stall-bounded solve.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
@@ -542,15 +551,10 @@ def sdp_solve(
     q = quantum_maximum(prob.alpha)
     if prob.s <= q - BOUNDARY_BAND:
         return _interior_point(prob, eps_abs, eps_rel, max_iters)
-    if prob.s > q:
-        # max I12 subject to Gamma PSD and the vacuous row 0 >= -1
-        i12 = replace(prob, objective=prob.constraint,
-                      constraint=np.zeros_like(prob.constraint), s=-1.0)
-        bound = _interior_point(i12, eps_abs, eps_rel, max_iters)
-        if prob.s > bound.upper_bound:
-            nan, inf = float("nan"), float("inf")
-            return MomentSolution(nan, nan, nan, inf, inf, -inf, "infeasible", False,
-                                  bound.iterations)
+    if (prob.s > 0.0 and Fraction(prob.s) ** 2 > 8 + 2 * Fraction(prob.alpha) ** 2
+            and _SOS_WORDS <= set(prob.structure.words)):
+        nan, inf = float("nan"), float("inf")
+        return MomentSolution(nan, nan, nan, inf, inf, -inf, "infeasible", False, 0)
     return replace(_interior_point(prob, eps_abs, eps_rel, max_iters), status="boundary",
                    certified=False)
 

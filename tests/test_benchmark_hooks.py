@@ -28,3 +28,16 @@ def test_benchmark_import_breakdown_finds_its_modules(monkeypatch):
     times = run.import_breakdown(run.bench_env(str(PERFBENCH.parent)))
     assert set(times) == set(run.IMPORTTIME_MODULES.values())
     assert all(isinstance(t, float) and t > 0.0 for t in times.values())
+
+
+def test_benchmark_scan_check_accepts_the_golden_scan(monkeypatch):
+    # the npa-scan workload's correctness gate, on the pinned output whose
+    # last row of each tilt is infeasible, with NaN values
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+
+    golden = Path(__file__).resolve().parent / "golden"
+    csv_text = (golden / "npa_scan_a0_0.5_g4_i3200.csv").read_text(encoding="utf-8")
+    err_text = (golden / "npa_scan_a0_0.5_g4_i3200.err").read_text(encoding="utf-8")
+    assert csv_text.count(",nan,nan,inf,inf,-inf,infeasible,no\n") == 2
+    assert checks.check_scan(csv_text, err_text, [0.0, 0.5], 4) == []

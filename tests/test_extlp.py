@@ -32,7 +32,6 @@ from nonshare.extlp import (
     LpInfeasibleError,
     LpNumericalError,
     anticollusion_capacity,
-    collusive_vulnerability,
     corpus_to_jsonl,
     random_lhv_model,
     random_ns_behavior,
@@ -46,10 +45,30 @@ from nonshare.extlp import (
     _distance,
     _distance_lp,
     _minimum,
+    _nonnegative,
     _proven_capacity,
     _record_matrices,
 )
 from nonshare.qkernel import bell_strategy, born_behavior
+
+
+def collusive_vulnerability(prob: ExtensionProblem, kernel: GameKernel) -> float:
+    """Best relabelled-test score any admissible extension grants the colluder:
+    the fixed-game witness that separates quantum from classical pairs.
+
+    No-signalling class: variables are the full tripartite table under the
+    marginal pin and parties 1 and 2's no-signalling, which imply the rest.
+    Classical class: variables are weights over deterministic tripartite strategies.
+    """
+    i1, i2 = prob.authorized.inputs_per_party
+    o1, o2 = prob.authorized.outputs_per_party
+    if kernel.values.shape != (i1, i2, o1, o2):
+        raise ValueError("kernel must live on the relabelled (1,3) pair alphabets")
+    # uniform inputs; i1 * i2 is a power of 2, so the division is exact
+    c = (kernel.values / (i1 * i2)).reshape(-1) @ prob.pair13
+    n_ext = len(c)
+    lp = _Lp(-c, np.zeros((0, n_ext)), np.zeros(0), prob.a_eq, prob.b_eq, _nonnegative(n_ext))
+    return -_minimum(lp)
 
 
 def det_pair(f1: int, f2: int) -> Behavior:

@@ -363,28 +363,113 @@ def i12_maximum(prob):
     return sdp_solve(vacuous).upper_bound
 
 
+def above_quantum_maximum(alpha, s):
+    """s > sqrt(8 + 2 alpha^2) in exact arithmetic."""
+    return s > 0 and Fraction(s) ** 2 > 8 + 2 * Fraction(alpha) ** 2
+
+
+class Surd:
+    """a + b sqrt(d) for rationals a, b and a fixed positive rational d."""
+
+    def __init__(self, a, b, d):
+        self.a, self.b, self.d = Fraction(a), Fraction(b), Fraction(d)
+
+    def __add__(self, other):
+        return Surd(self.a + other.a, self.b + other.b, self.d)
+
+    def __mul__(self, other):
+        return Surd(self.a * other.a + self.b * other.b * self.d,
+                    self.a * other.b + self.b * other.a, self.d)
+
+    def __eq__(self, other):
+        return (self.a, self.b, self.d) == (other.a, other.b, other.d)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)],
+                         ids=str)
+def test_sum_of_squares_proves_the_quantum_maximum_of_the_relaxation(alpha):
+    # q - I12 = lambda (P1^T P1 + P2^T P2), lambda = 1 / (2q), with
+    # P1 = q - I12 and P2 = A0B0 - A0B1 + A1B0 + A1B1 - alpha A1 over the
+    # words of STRUCTURE; q = sqrt(d), d = 8 + 2 alpha^2, so every entry lies
+    # in Q(sqrt(d)). Matched coefficient by coefficient on the canonical
+    # variables, the identity makes q - con.x = lambda (P1^T Gamma(x) P1 +
+    # P2^T Gamma(x) P2) >= 0 whenever Gamma(x) is PSD, which sdp_solve's
+    # exact rule for band rows above q relies on.
+    d = 8 + 2 * alpha ** 2
+    zero, q = Surd(0, 0, d), Surd(0, 1, d)
+
+    def rational(v):
+        return Surd(v, 0, d)
+
+    def polynomial(terms):
+        vec = [zero] * STRUCTURE.n_words
+        for word, coeff in terms.items():
+            vec[STRUCTURE.words.index(word)] = coeff
+        return vec
+
+    i12 = {("A0",): alpha, ("A0", "B0"): 1, ("A0", "B1"): 1, ("A1", "B0"): 1, ("A1", "B1"): -1}
+    p1 = polynomial({(): q, **{w: rational(-c) for w, c in i12.items()}})
+    p2 = polynomial({("A0", "B0"): rational(1), ("A0", "B1"): rational(-1),
+                     ("A1", "B0"): rational(1), ("A1", "B1"): rational(1),
+                     ("A1",): rational(-alpha)})
+    lam = Surd(0, 1 / (2 * d), d)  # 1 / (2q) = q / (2d)
+    assert lam * (q + q) == rational(1)
+    assert d > 0 and lam.a == 0 and lam.b > 0  # lambda = b sqrt(d) > 0
+    support = {STRUCTURE.words[i] for p in (p1, p2) for i, v in enumerate(p) if v != zero}
+    assert support <= npa._SOS_WORDS
+    coeffs = [zero] * (STRUCTURE.n_variables + 1)  # the last is the constant entry
+    for i in range(STRUCTURE.n_words):
+        for j in range(STRUCTURE.n_words):
+            k = int(STRUCTURE.entry_vars[i, j])
+            coeffs[k] = coeffs[k] + lam * (p1[i] * p1[j] + p2[i] * p2[j])
+    con = assemble(float(alpha), 2.0 + float(alpha), STRUCTURE).constraint
+    assert coeffs == [rational(-Fraction(c)) for c in con.tolist()] + [q]
+
+
 @pytest.mark.parametrize("alpha,s", [(a, s) for a, s, _, certified in REFERENCE_ROWS
                                      if not certified and s > quantum_maximum(a)])
 def test_thresholds_above_the_proven_maximum_are_infeasible(alpha, s):
     prob = assemble(alpha, s, STRUCTURE)
-    # the recorded endpoint lies 5e-8 to 4e-7 above the quantum maximum
+    # the recorded endpoint lies 5e-8 to 4e-7 above the quantum maximum: the
+    # numeric I12 maximum agrees with the exact rule
+    assert above_quantum_maximum(alpha, s)
     assert i12_maximum(prob) < s
     sol = sdp_solve(prob)
     assert sol.status == "infeasible"
     assert not sol.certified
     assert np.isnan(sol.primal) and np.isnan(sol.upper_bound)
+    assert sol.iterations == 0
 
 
 @pytest.mark.parametrize("alpha,s", [(0.0, 2.828427)] + [
-    (alpha, quantum_maximum(alpha)) for alpha in (0.0, 0.5, 1.0, 1.5, 2.0)])
+    (alpha, quantum_maximum(alpha)) for alpha in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0)])
 def test_thresholds_at_the_quantum_maximum_are_boundary_rows(alpha, s):
+    # rows at or below the exact q(alpha) are boundary rows; fl(q) lies above
+    # the exact q at alpha = 0, 0.5, 1 and 1.5, and those rows are infeasible
+    above = above_quantum_maximum(alpha, s)
+    assert above == (s == quantum_maximum(alpha) and alpha in (0.0, 0.5, 1.0, 1.5))
     prob = assemble(alpha, s, STRUCTURE)
-    assert s <= i12_maximum(prob)  # feasible: not a proven infeasibility
     sol = sdp_solve(prob)
-    assert sol.status == "boundary"
     assert not sol.certified
-    # the stall rule, not the 100 000-iteration cap, ends the main solve
-    assert sol.iterations <= 100
+    if above:
+        assert sol.status == "infeasible" and sol.iterations == 0
+        assert np.isnan(sol.primal) and np.isnan(sol.upper_bound)
+    else:
+        assert s <= i12_maximum(prob)  # feasible: not a proven infeasibility
+        assert sol.status == "boundary"
+        # the stall rule, not the 100 000-iteration cap, ends the solve
+        assert sol.iterations <= 100
+
+
+def test_rows_above_the_quantum_maximum_of_a_relaxation_without_the_proof_words_are_solved():
+    # level 1 lacks the words A_iB_j of the sum of squares, and its maximum
+    # of I12, 2 sqrt(2) + alpha, lies above q(alpha) for alpha > 0: a band
+    # row above q is feasible there, so it is solved as a boundary row
+    s = float(np.nextafter(quantum_maximum(0.5), np.inf))
+    assert above_quantum_maximum(0.5, s)
+    assert i12_maximum(assemble(0.5, s, LEVEL_ONE)) > s
+    sol = sdp_solve(assemble(0.5, s, LEVEL_ONE))
+    assert sol.status == "boundary" and not sol.certified and sol.iterations > 0
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0])
@@ -398,17 +483,19 @@ def test_sdp_solve_near_the_quantum_maximum_neither_raises_nor_warns(monkeypatch
 
     interior_point = npa._interior_point
     monkeypatch.setattr(npa, "_interior_point", counted)
+    thresholds = (q - 1e-6, q, float(np.nextafter(q, np.inf)), q + 1e-6)
     statuses, calls = [], []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for s in (q - 1e-6, q, np.nextafter(q, np.inf), q + 1e-6):
+        for s in thresholds:
             solves.clear()
             statuses.append(sdp_solve(assemble(alpha, s, STRUCTURE)).status)
             calls.append(len(solves))
-    assert statuses[1:] == ["boundary", "boundary", "infeasible"]
-    # the I12 maximum is solved only above q(alpha): at q it cannot fall
-    # below s, so only the main solve runs; an infeasible row skips the main
-    assert calls == [1, 1, 2, 1]
+    # fl(q) is the exact q only at alpha = 2
+    at_q = "boundary" if alpha == 2.0 else "infeasible"
+    assert statuses[1:] == [at_q, "infeasible", "infeasible"]
+    # no solve at all for a row above q in exact arithmetic
+    assert calls == [0 if above_quantum_maximum(alpha, s) else 1 for s in thresholds]
 
 
 def row_source(alpha, s):
@@ -572,9 +659,12 @@ def assert_bounds_hold_exactly(cases):
 def test_upper_bound_holds_in_exact_arithmetic_on_the_reference_rows(monkeypatch):
     cases = captured_bounds(monkeypatch, lambda: [
         sdp_solve(assemble(alpha, s, STRUCTURE)) for alpha, s, _, _ in REFERENCE_ROWS])
-    # the 16 main solves less the 3 infeasible rows, plus their I12 solves
-    assert len(cases) == 16
-    assert sum(prob.s == -1.0 for prob, *_ in cases) == 3
+    # the 16 rows less the 3 above q(alpha), which are decided without a solve;
+    # no bound comes from another problem, such as a maximum of I12
+    solved = [(alpha, s) for alpha, s, _, _ in REFERENCE_ROWS
+              if not above_quantum_maximum(alpha, s)]
+    assert len(solved) == 13
+    assert [(prob.alpha, prob.s) for prob, *_ in cases] == solved
     assert_bounds_hold_exactly(cases)
 
 
