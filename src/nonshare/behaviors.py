@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import prod
 
 import numpy as np
 
@@ -45,15 +46,15 @@ class Behavior:
         if table.min() < -NORMALIZATION_TOL:
             raise ValueError("table has a negative probability")
         table = np.where(table < 0.0, 0.0, table)  # clear float dust only
-        sums = table.reshape(int(np.prod(self.inputs_per_party)), -1).sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > NORMALIZATION_TOL:
+        sums = table.reshape(prod(self.inputs_per_party), -1).sum(axis=1)
+        if abs(sums - 1.0).max() > NORMALIZATION_TOL:
             raise ValueError("a joint-input row does not sum to 1")
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
     @property
     def n_inputs(self) -> int:
-        return int(np.prod(self.inputs_per_party))
+        return prod(self.inputs_per_party)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,8 @@ _ROW_VALUES = np.array(
 )
 _ROWS = [",".join(map(str, row)) for row in _ROW_VALUES.tolist()]
 _ROW_CODES = {row: code for code, row in enumerate(_ROWS)}
+# Each row and its line feed, padded with spaces to the 10 bytes of the longest.
+_ROW_RECORDS = np.array([f"{row}\n".encode().ljust(10) for row in _ROWS], dtype="V10")
 
 
 def _cells(x, y, a, b):
@@ -52,6 +54,16 @@ class EmptyCellError(ValueError):
     """A setting pair has no trials; the correlator-wise estimate is refused."""
 
 
+def _int64_column(values) -> np.ndarray:
+    """values as int64, with 2, which no trial column holds, for each value
+    the cast changes: it truncates 0.7 to 0 and wraps 2**64 - 1 to -1."""
+    column = np.asarray(values)
+    cast = column.astype(np.int64, copy=False)
+    if column.dtype.kind in "ufcO":  # the cast made a copy, which can be written
+        cast[cast != column] = 2
+    return cast
+
+
 @dataclass(frozen=True)
 class TrialBatch:
     """Record of i.i.d. CHSH trials with settings x, y and outcomes a, b."""
@@ -62,10 +74,7 @@ class TrialBatch:
     b: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=np.int64)
-        y = np.asarray(self.y, dtype=np.int64)
-        a = np.asarray(self.a, dtype=np.int64)
-        b = np.asarray(self.b, dtype=np.int64)
+        x, y, a, b = map(_int64_column, (self.x, self.y, self.a, self.b))
         n = x.size
         if not (y.size == a.size == b.size == n) or n == 0:
             raise ValueError("trial columns must be equal-length and nonempty")
@@ -125,14 +134,19 @@ def sample_behavior_trials(behavior: Behavior, n: int, seed: int) -> TrialBatch:
     x = rng.integers(0, 2, size=n)
     y = rng.integers(0, 2, size=n)
     joint = rng.random(n)
-    # idx = 2 [a = -1] + [b = -1]: how many of the cell's first three partial sums are <= u
-    cdf = np.cumsum(behavior.table.reshape(4, 4), axis=1)  # row 2x + y
+    # The outcome index 2 [a = -1] + [b = -1] is how many of the cell's first
+    # three partial sums are <= u. They never decrease, so those that are
+    # form a prefix: a = -1 where the second is, b = -1 where one or three are.
+    cdf = behavior.table.reshape(4, 4).cumsum(axis=1)  # row 2x + y
     cell = 2 * x + y
-    idx = np.zeros(n, dtype=np.uint8)
-    for k in range(3):
-        idx += cdf[:, k].take(cell) <= joint
+    b_minus = cdf[:, 0].take(cell) <= joint
+    a_minus = cdf[:, 1].take(cell) <= joint
+    b_minus ^= a_minus
+    b_minus ^= cdf[:, 2].take(cell) <= joint
     del joint, cell
-    return TrialBatch(x=x, y=y, a=np.where(idx >> 1, -1, 1), b=np.where(idx & 1, -1, 1))
+    a, b = np.where(a_minus, -1, 1), np.where(b_minus, -1, 1)
+    del a_minus, b_minus
+    return TrialBatch(x=x, y=y, a=a, b=b)
 
 
 def _cell_sums(trials: TrialBatch | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -202,6 +216,8 @@ def single_trial_lcb(trials: TrialBatch | np.ndarray, alpha: float) -> FiniteDat
     _check_alpha(alpha)
     counts, sums = _cell_sums(trials)
     n = int(counts.sum())
+    if n == 0:
+        raise ValueError("the trial count table is empty: no trials to certify")
     z_sum = 4 * int(sums[0, 0] + sums[0, 1] + sums[1, 0] - sums[1, 1])
     radius = 4.0 * sqrt(2.0 * log(1.0 / alpha) / n)
     return _certificate(z_sum / n, radius, alpha, "single_trial")
@@ -220,13 +236,17 @@ def samples_for_onset(s_true: float, alpha: float) -> int:
 
 
 def batch_csv_blocks(batch: TrialBatch) -> Iterator[str]:
-    """`batch_to_csv` in pieces: the header, then _CSV_BLOCK rows at a time."""
+    """`batch_to_csv` in pieces: the header, then _CSV_BLOCK rows at a time.
+
+    A block is its rows' fixed-width records end to end, the padding deleted.
+    """
     yield "x,y,a,b\n"
     for start in range(0, batch.x.size, _CSV_BLOCK):
         block = slice(start, start + _CSV_BLOCK)
-        codes = (8 * batch.x[block] + 4 * batch.y[block] + 2 * (batch.a[block] == 1)
-                 + (batch.b[block] == 1))
-        yield "\n".join(map(_ROWS.__getitem__, codes.tolist())) + "\n"
+        # 8x + 4y + 2[a = +1] + [b = +1], as a and b are +-1
+        codes = (8 * batch.x[block] + 4 * batch.y[block] + (batch.a[block] + 1)
+                 + ((batch.b[block] + 1) >> 1))
+        yield _ROW_RECORDS.take(codes).tobytes().translate(None, b" ").decode("ascii")
 
 
 def batch_to_csv(batch: TrialBatch) -> str:

@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from itertools import chain, repeat
 from math import ceil, log, sqrt
 
@@ -17,6 +20,7 @@ from nonshare.finitedata import (
     CorrelatorStats,
     EmptyCellError,
     TrialBatch,
+    batch_csv_blocks,
     batch_from_csv,
     batch_to_csv,
     certificate_to_json,
@@ -87,6 +91,36 @@ def test_trial_batch_value_checks_are_exact():
                 message = "settings must be bits" if column in "xy" else "outcomes must be +-1"
                 with pytest.raises(ValueError, match=re.escape(message)):
                     TrialBatch(**columns)
+
+
+def test_trial_batch_refuses_values_that_are_not_integers():
+    # a cast to int64 alone reads 0.7, 1.9 as bits, -1.5 as -1 and 2**64 - 1 as -1
+    with pytest.raises(ValueError, match="settings must be bits"):
+        TrialBatch(x=[0.7, 1.9], y=[0, 1], a=[1, -1.5], b=[1, 1])
+    valid = {"x": [1.0, 0.0], "y": [0.0, 1.0], "a": [-1.0, 1.0], "b": [1.0, -1.0]}
+    for column in valid:
+        message = "settings must be bits" if column in "xy" else "outcomes must be +-1"
+        for bad in (0.5, 1.0000000000000002, -1.5, -0.9999999999999999, 2.0**63, np.nan,
+                    np.inf, 2**64 - 1, 2**64 - 2):
+            columns = {name: np.array(values) for name, values in valid.items()}
+            spellings = [[valid[column][0], bad], [int(valid[column][0]), bad]]
+            if isinstance(bad, int):
+                spellings.append(np.array([bad, bad], dtype=np.uint64))
+            for spelled in spellings:
+                columns[column] = spelled
+                with np.errstate(invalid="ignore"), pytest.raises(ValueError,
+                                                                  match=re.escape(message)):
+                    TrialBatch(**columns)
+            if isinstance(bad, float) and abs(bad) < 2.0**63:
+                columns[column] = np.array([valid[column][0], bad], dtype=object)
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    TrialBatch(**columns)
+    # integral floats and objects are read as the integers they are
+    batch = TrialBatch(x=valid["x"], y=np.array([0, 1], dtype=object), a=valid["a"],
+                       b=np.array(valid["b"], dtype=np.float32))
+    for column, values in zip((batch.x, batch.y, batch.a, batch.b), valid.values()):
+        assert column.dtype == np.int64
+        assert column.tolist() == values
 
 
 def test_simulate_trials_deterministic_and_tagged():
@@ -193,6 +227,12 @@ def test_single_trial_radius_and_agreement():
         single_trial_lcb(batch, alpha=0.0)
 
 
+def test_single_trial_lcb_refuses_an_empty_table():
+    # `read_trial_counts` never returns one, but a caller may pass any table
+    with pytest.raises(ValueError, match="count table is empty"):
+        single_trial_lcb(np.zeros((2, 2, 2), int), 0.05)
+
+
 def test_single_trial_radius_smaller_than_correlator_wise():
     # one union bound versus eight; at equal totals the single-trial radius
     # 4 sqrt(2 ln(1/a) / N) beats 4 sqrt(2 ln(8/a) / (N/4))
@@ -245,6 +285,26 @@ def test_csv_round_trip():
         batch_from_csv("x,y,a,b\n0,0,1,99999999999999999999\n")
     with pytest.raises(ValueError, match="settings"):
         batch_from_csv("x,y,a,b\n-99999999999999999999,0,1,1\n")
+
+
+# Trial counts around the writer's block of 65 536 rows.
+BLOCK_SIZES = (1, 2000, 65535, 65536, 65537)
+
+
+def test_csv_blocks_match_the_per_row_reference():
+    rng = np.random.default_rng(11)
+    for n in BLOCK_SIZES:
+        codes = rng.permutation(np.arange(n) % 16)  # every row code once n >= 16
+        x, y = codes >> 3, (codes >> 2) & 1
+        a, b = 2 * ((codes >> 1) & 1) - 1, 2 * (codes & 1) - 1
+        pieces = list(batch_csv_blocks(TrialBatch(x=x, y=y, a=a, b=b)))
+        assert pieces[0] == "x,y,a,b\n"
+        assert len(pieces) == 1 + ceil(n / 65536)
+        assert all(piece.endswith("\n") for piece in pieces)
+        assert "".join(pieces) == "x,y,a,b\n" + "".join(
+            f"{xi},{yi},{ai},{bi}\n"
+            for xi, yi, ai, bi in zip(x.tolist(), y.tolist(), a.tolist(), b.tolist())
+        )
 
 
 # Chunk sizes small enough that block boundaries fall inside every case.
@@ -649,7 +709,7 @@ DYADIC_LHV = LhvModel(
 
 
 def test_sample_behavior_trials_matches_the_per_cell_reference():
-    # the sampler counts the partial sums <= u instead of searching them; the
+    # the sampler compares u with the partial sums instead of searching them; the
     # two agree because Behavior clears negative dust, so no cell's partial
     # sums decrease. Zero cells give tied partial sums.
     rng = np.random.default_rng(3)
@@ -668,3 +728,65 @@ def test_sample_behavior_trials_matches_the_per_cell_reference():
                 expected = per_cell_reference_sample(behavior, n, seed)
                 for column, reference in zip((batch.x, batch.y, batch.a, batch.b), expected):
                     assert np.array_equal(column, reference)
+
+
+def three_pass_reference_sample(behavior: Behavior, n: int, seed: int):
+    """x, y, a, b drawn as a uint8 count of the cell's first three partial
+    sums <= u, then read off its two bits: 2 [a = -1] + [b = -1]."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 2, size=n)
+    y = rng.integers(0, 2, size=n)
+    joint = rng.random(n)
+    cdf = np.cumsum(behavior.table.reshape(4, 4), axis=1)
+    cell = 2 * x + y
+    idx = np.zeros(n, dtype=np.uint8)
+    for k in range(3):
+        idx += cdf[:, k].take(cell) <= joint
+    return x, y, np.where(idx >> 1, -1, 1), np.where(idx & 1, -1, 1)
+
+
+def deterministic_response(bits: int) -> np.ndarray:
+    """One party's single-rule response table: output bit (bits >> t) & 1 on input t."""
+    resp = np.zeros((1, 2, 2))
+    for t in (0, 1):
+        resp[0, t, (bits >> t) & 1] = 1.0
+    return resp
+
+
+def test_sample_behavior_trials_matches_the_three_pass_reference():
+    # the sampler reads a and b off the prefix of partial sums <= u; every
+    # deterministic behavior and the mixtures below have cells with zeros,
+    # so tied partial sums
+    behaviors = [born_behavior(bell_strategy())]
+    behaviors += [born_behavior(werner_strategy(eta)) for eta in (0.0, 0.5, 0.9, 1.0)]
+    rules = [deterministic_response(bits) for bits in range(4)]
+    behaviors += [lhv_behavior(LhvModel(weights=np.array([1.0]), responses=(r1, r2)))
+                  for r1 in rules for r2 in rules]
+    behaviors += [lhv_behavior(DYADIC_LHV)]
+    behaviors += [
+        lhv_behavior(LhvModel(weights=np.array(weights),
+                              responses=(np.concatenate([rules[i] for i in firsts]),
+                                         np.concatenate([rules[j] for j in seconds]))))
+        for weights, firsts, seconds in (([0.3, 0.7], (0, 3), (1, 1)),
+                                         ([0.5, 0.25, 0.25], (1, 2, 2), (0, 3, 2)))
+    ]
+    for k, behavior in enumerate(behaviors):
+        for n in BLOCK_SIZES:
+            batch = sample_behavior_trials(behavior, n, seed=1000 * k + n)
+            expected = three_pass_reference_sample(behavior, n, seed=1000 * k + n)
+            for column, reference in zip((batch.x, batch.y, batch.a, batch.b), expected):
+                assert np.array_equal(column, reference)
+
+
+def test_finitedata_imports_no_scipy():
+    # simulate and certify need numpy only; scipy's import is most of a
+    # CLI process's start-up
+    code = ("import sys, nonshare.finitedata\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(finitedata.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
